@@ -76,6 +76,9 @@ int main() {
         mesh::FieldSampleStats sparseStats;  // from the last sparse repeat
         std::uint64_t activeCells{};         // from the last sparse repeat
         std::uint64_t reusedTopologyBlocks{};
+        // Per-query capsule decisions of the last sparse repeat; culled is
+        // the share of pruned the batch kernel decided once per call.
+        std::uint64_t bonesBlended{}, bonesPruned{}, bonesCulled{};
     };
     std::vector<Row> rows;
     // Cost models for the unmeasured tail, fitted on the LARGEST measured
@@ -115,6 +118,9 @@ int main() {
                 row.sparseExtractMs.record(r.extractMs);
                 row.activeCells = r.stats.activeCells;
                 row.reusedTopologyBlocks = r.stats.reusedTopologyBlocks;
+                row.bonesBlended = r.stats.bonesBlended;
+                row.bonesPruned = r.stats.bonesPruned;
+                row.bonesCulled = r.stats.bonesCulled;
                 row.sparseStats.blocksTotal = r.stats.blocksTotal;
                 row.sparseStats.blocksSampled = r.stats.blocksSampled;
                 row.sparseStats.blocksSkipped = r.stats.blocksSkipped;
@@ -179,6 +185,9 @@ int main() {
             .field("extract_ms_p95", row.sparseExtractMs.p95())
             .field("active_cells", row.activeCells)
             .field("reused_topology_blocks", row.reusedTopologyBlocks)
+            .field("bones_blended", row.bonesBlended)
+            .field("bones_pruned", row.bonesPruned)
+            .field("bones_culled", row.bonesCulled)
             .field("speedup", speedup)
             .field("sparse_fps_p50", 1000.0 / sparseMs)
             .field("blocks_total", row.sparseStats.blocksTotal)

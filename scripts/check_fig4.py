@@ -9,6 +9,10 @@ ratio computed inside one run of the benchmark on one machine:
   * node_eval_fraction at the anchor must stay below the flat-grid
     plateau -- this is the octree + auto-block-size win, and it is a
     pure counter ratio, immune to machine speed;
+  * at the anchor, most capsule decisions must come from the batch
+    kernel's once-per-call cull (bones_culled over bones_blended +
+    bones_pruned), another pure counter ratio: it drops to 0 if the
+    kernel falls back to testing every capsule per lane group;
   * the ablation's simd+octree row must actually beat scalar+flat
     (otherwise the SIMD dispatch or the octree descent silently
     regressed to the slow path);
@@ -40,6 +44,8 @@ def main() -> None:
                     help="minimum sparse-vs-dense speedup at the anchor")
     ap.add_argument("--max-eval-fraction", type=float, default=0.30,
                     help="maximum node_eval_fraction at the anchor")
+    ap.add_argument("--min-cull-fraction", type=float, default=0.5,
+                    help="minimum share of capsule decisions culled per call")
     ap.add_argument("--min-ablation-speedup", type=float, default=1.15,
                     help="minimum simd+octree speedup over scalar+flat")
     ap.add_argument("--min-cache-hit", type=float, default=0.30,
@@ -51,9 +57,9 @@ def main() -> None:
     with open(args.json_path) as f:
         data = json.load(f)
 
-    if data.get("schema_version", 0) < 4:
-        fail(f"schema_version {data.get('schema_version')} < 4 "
-             "(bench binary predates the extraction instrumentation)")
+    if data.get("schema_version", 0) < 6:
+        fail(f"schema_version {data.get('schema_version')} < 6 "
+             "(bench binary predates the capsule-cull counters)")
     backend = data.get("simd_backend")
     if backend not in ("avx2", "neon", "scalar"):
         fail(f"simd_backend missing or unknown: {backend!r}")
@@ -78,6 +84,13 @@ def main() -> None:
           f"(gate: <= {args.max_eval_fraction})")
     if frac > args.max_eval_fraction:
         fail("node_eval_fraction regressed (certificates firing less)")
+
+    decisions = anchor.get("bones_blended", 0) + anchor.get("bones_pruned", 0)
+    cull = anchor.get("bones_culled", 0) / decisions if decisions > 0 else 0.0
+    print(f"capsule decisions culled per call at {args.anchor_resolution}: "
+          f"{cull:.3f} (gate: >= {args.min_cull_fraction})")
+    if cull < args.min_cull_fraction:
+        fail("batch kernel stopped culling capsules once per call")
 
     ablation = {row.get("config"): row for row in data.get("ablation", [])}
     for config in ("scalar+flat", "scalar+octree", "simd+flat", "simd+octree"):

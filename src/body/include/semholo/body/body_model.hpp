@@ -61,12 +61,17 @@ ScalarField bodySignedDistance(const Pose& pose,
 
 // Live instrumentation counters for a body field evaluated concurrently
 // by sampler workers. Sharded per thread so the hot path stays
-// uncontended; totals are exact.
+// uncontended; totals are exact. bonesBlended / bonesPruned count
+// per-query capsule decisions and are the same whichever of 'field' and
+// 'batch' evaluated the points; bonesCulled is the share of bonesPruned
+// the batch kernel decided once per call instead of per lane group.
 class BodyFieldStats {
 public:
-    void add(std::uint32_t blended, std::uint32_t pruned) noexcept;
+    void add(std::uint64_t blended, std::uint64_t pruned,
+             std::uint64_t culled) noexcept;
     std::uint64_t bonesBlended() const noexcept;
     std::uint64_t bonesPruned() const noexcept;
+    std::uint64_t bonesCulled() const noexcept;
     void reset() noexcept;
 
 private:
@@ -74,6 +79,7 @@ private:
     struct alignas(64) Shard {
         std::atomic<std::uint64_t> blended{0};
         std::atomic<std::uint64_t> pruned{0};
+        std::atomic<std::uint64_t> culled{0};
     };
     std::array<Shard, kShards> shards_{};
 };

@@ -10,7 +10,9 @@
 // bit-identical to calling BodyField::field point by point, including
 // the per-lane bone-pruning decisions (each lane keeps its own running
 // distance, so a lane prunes a capsule exactly when the scalar path
-// would).
+// would). Before the lane loop each call culls the capsules that every
+// lane provably prunes (see cullCapsules in the kernel), so lanes only
+// test the few capsules that can still reach the call's points.
 #pragma once
 
 #include <cmath>
@@ -20,6 +22,11 @@
 #include "semholo/body/body_model.hpp"
 
 namespace semholo::body::detail {
+
+// The prune-box arrays lox..hiz are zero-padded past 'count' to a
+// multiple of this, so the per-call cull loads them whole lane groups at
+// a time (the padding is never read as a capsule).
+inline constexpr std::size_t kCapsulePad = 8;
 
 // Capsule + prune-box constants in structure-of-arrays form so kernels
 // broadcast one scalar per capsule instead of gathering.
@@ -34,9 +41,18 @@ struct BodyBatchData {
     std::vector<float> lox, loy, loz, hix, hiy, hiz, rmax;
     std::size_t count{0};
 
+    // Largest |coordinate| of any prune box: scales the cull's rounding
+    // allowance.
+    float extent{0.0f};
+
     bool bonePruning{true};
     bool hasExpression{false};
     ExpressionParams expr{};
+    // World box outside which expressionOffset is exactly zero, and the
+    // largest distance the warp can move a query point (both as in the
+    // field's certificate).
+    geom::AABB faceBounds{};
+    float maxWarp{0.0f};
     geom::RigidTransform headXf{}, headInv{};
     Vec3f headRest{};
     bool clothingDetail{false};
@@ -54,16 +70,18 @@ inline float clothingFoldDisplacement(Vec3f pLocal, float amplitude) {
 }
 
 // Evaluate the body field at n SoA query points; adds the capsule blend
-// / prune tallies for the batch to 'blended' / 'pruned'.
+// / prune tallies for the batch to 'blended' / 'pruned' (equal to the
+// per-point field's) and the part of 'pruned' decided once per call by
+// the capsule cull to 'culled'.
 void evaluateBodyBatchBaseline(const BodyBatchData& data, const float* xs,
                                const float* ys, const float* zs, float* out,
                                std::size_t n, std::uint64_t& blended,
-                               std::uint64_t& pruned);
+                               std::uint64_t& pruned, std::uint64_t& culled);
 #if defined(SEMHOLO_HAVE_AVX2_KERNELS)
 void evaluateBodyBatchAvx2(const BodyBatchData& data, const float* xs,
                            const float* ys, const float* zs, float* out,
                            std::size_t n, std::uint64_t& blended,
-                           std::uint64_t& pruned);
+                           std::uint64_t& pruned, std::uint64_t& culled);
 #endif
 
 }  // namespace semholo::body::detail

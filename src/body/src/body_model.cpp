@@ -144,10 +144,12 @@ unsigned thisThreadShard() {
 
 }  // namespace
 
-void BodyFieldStats::add(std::uint32_t blended, std::uint32_t pruned) noexcept {
+void BodyFieldStats::add(std::uint64_t blended, std::uint64_t pruned,
+                         std::uint64_t culled) noexcept {
     Shard& s = shards_[thisThreadShard() % kShards];
     s.blended.fetch_add(blended, std::memory_order_relaxed);
     s.pruned.fetch_add(pruned, std::memory_order_relaxed);
+    s.culled.fetch_add(culled, std::memory_order_relaxed);
 }
 
 std::uint64_t BodyFieldStats::bonesBlended() const noexcept {
@@ -162,10 +164,17 @@ std::uint64_t BodyFieldStats::bonesPruned() const noexcept {
     return total;
 }
 
+std::uint64_t BodyFieldStats::bonesCulled() const noexcept {
+    std::uint64_t total = 0;
+    for (const Shard& s : shards_) total += s.culled.load(std::memory_order_relaxed);
+    return total;
+}
+
 void BodyFieldStats::reset() noexcept {
     for (Shard& s : shards_) {
         s.blended.store(0, std::memory_order_relaxed);
         s.pruned.store(0, std::memory_order_relaxed);
+        s.culled.store(0, std::memory_order_relaxed);
     }
 }
 
@@ -192,7 +201,7 @@ float aabbDistance2(Vec3f p, Vec3f lo, Vec3f hi) {
 
 using BatchKernel = void (*)(const detail::BodyBatchData&, const float*,
                              const float*, const float*, float*, std::size_t,
-                             std::uint64_t&, std::uint64_t&);
+                             std::uint64_t&, std::uint64_t&, std::uint64_t&);
 
 BatchKernel pickBatchKernel() {
 #if defined(SEMHOLO_HAVE_AVX2_KERNELS)
@@ -260,6 +269,9 @@ BodyField makeBodyField(const Pose& pose, const Skeleton& skeleton,
         (0.02f / 0.06f) * a0 + (0.015f / 0.045f) * a1 + (0.012f / 0.07f) * a2 +
         (0.008f / 0.05f) * a3;
     const float offsetJump = 0.02f * a0 + 0.024f * a2 + 0.008f * a3;
+    // Largest distance the warp moves a query point: the component
+    // amplitudes summed (the rigid head transform preserves length).
+    const float maxWarp = 0.02f * a0 + 0.015f * a1 + 0.012f * a2 + 0.008f * a3;
     float lipschitz = capsuleLip * (1.0f + offsetLip);
     float margin = capsuleLip * offsetJump;
     if (options.clothingDetail) {
@@ -323,7 +335,7 @@ BodyField makeBodyField(const Pose& pose, const Skeleton& skeleton,
         if (options.clothingDetail)
             d += clothingFoldDisplacement(rootInv.apply(p),
                                           options.clothingAmplitude);
-        stats->add(blended, pruned);
+        stats->add(blended, pruned, 0);
         return d;
     };
 
@@ -353,10 +365,22 @@ BodyField makeBodyField(const Pose& pose, const Skeleton& skeleton,
             data->hiy.push_back(bd.hi.y);
             data->hiz.push_back(bd.hi.z);
             data->rmax.push_back(bd.rmax);
+            data->extent = std::max(
+                {data->extent, std::fabs(bd.lo.x), std::fabs(bd.lo.y),
+                 std::fabs(bd.lo.z), std::fabs(bd.hi.x), std::fabs(bd.hi.y),
+                 std::fabs(bd.hi.z)});
         }
+        const std::size_t padded =
+            (bones.size() + detail::kCapsulePad - 1) / detail::kCapsulePad *
+            detail::kCapsulePad;
+        for (auto* v : {&data->lox, &data->loy, &data->loz, &data->hix, &data->hiy,
+                        &data->hiz})
+            v->resize(padded, 0.0f);
         data->bonePruning = options.bonePruning;
         data->hasExpression = hasExpression;
         data->expr = expr;
+        data->faceBounds = out.faceBounds;
+        data->maxWarp = maxWarp;
         data->headXf = headXf;
         data->headInv = headInv;
         data->headRest = headRest;
@@ -369,9 +393,9 @@ BodyField makeBodyField(const Pose& pose, const Skeleton& skeleton,
                         float* vals, std::size_t n) {
             std::uint64_t blended = 0;
             std::uint64_t pruned = 0;
-            kernel(*data, xs, ys, zs, vals, n, blended, pruned);
-            stats->add(static_cast<std::uint32_t>(blended),
-                       static_cast<std::uint32_t>(pruned));
+            std::uint64_t culled = 0;
+            kernel(*data, xs, ys, zs, vals, n, blended, pruned, culled);
+            stats->add(blended, pruned, culled);
         };
     }
 
@@ -388,8 +412,6 @@ BodyField makeBodyField(const Pose& pose, const Skeleton& skeleton,
     // at most its amplitude: both widen the bracket only when they can
     // apply. No global cone-slope constant ever enters, which is what
     // keeps the shell of unskippable blocks thin for expressive poses.
-    const float maxWarp =
-        0.02f * a0 + 0.015f * a1 + 0.012f * a2 + 0.008f * a3;
     const float clothingSlack =
         options.clothingDetail ? options.clothingAmplitude : 0.0f;
     out.certificate = [capsules = out.capsules, face = out.faceBounds, maxWarp,

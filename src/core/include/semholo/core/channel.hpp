@@ -75,11 +75,18 @@ struct DecodedFrame {
     // or image-only decode paths). Aggregated into telemetry counters.
     std::uint64_t reconBlocksSkipped{0};
     std::uint64_t reconBlocksCached{0};
+    std::uint64_t reconBonesBlended{0};
     std::uint64_t reconBonesPruned{0};
+    std::uint64_t reconBonesCulled{0};
     std::uint64_t reconNodesEvaluated{0};
     std::uint64_t reconCertTests{0};
     std::uint64_t reconActiveCells{0};
     std::uint64_t reconReusedTopologyBlocks{0};
+    // The reconstruction's measured field-sampling / extraction split
+    // (wall time on this host; zero when the decode ran no
+    // reconstruction). Never part of a byte-identity digest.
+    double reconFieldMs{0.0};
+    double reconExtractMs{0.0};
 };
 
 class SemanticChannel {

@@ -110,11 +110,18 @@ struct FrameStats {
     // telemetry counters.
     std::uint64_t reconBlocksSkipped{};
     std::uint64_t reconBlocksCached{};
+    std::uint64_t reconBonesBlended{};
     std::uint64_t reconBonesPruned{};
+    std::uint64_t reconBonesCulled{};
     std::uint64_t reconNodesEvaluated{};
     std::uint64_t reconCertTests{};
     std::uint64_t reconActiveCells{};
     std::uint64_t reconReusedTopologyBlocks{};
+    // Measured field-sampling / extraction split of that decode (wall
+    // time, zero without a reconstruction); recorded into the telemetry
+    // histograms, never into a byte-identity digest.
+    double reconFieldMs{};
+    double reconExtractMs{};
 };
 
 struct SessionStats {

@@ -77,7 +77,9 @@ struct Counters {
     // how much of the field pass the pruning/caching layers elided.
     std::uint64_t reconBlocksSkipped{};   // blocks certified crossing-free
     std::uint64_t reconBlocksCached{};    // blocks re-used from the cache
+    std::uint64_t reconBonesBlended{};    // capsule blends executed per query
     std::uint64_t reconBonesPruned{};     // capsule blends skipped per query
+    std::uint64_t reconBonesCulled{};     // of those, culled once per batch call
     std::uint64_t reconNodesEvaluated{};  // field evaluations actually run
     std::uint64_t reconCertTests{};       // analytic certificate invocations
     // Extraction-stage accounting (block-local marching tetrahedra).
@@ -96,6 +98,10 @@ struct SessionTelemetry {
     Histogram e2eMs;             // capture-to-render per delivered frame
     Histogram bytesPerFrame;     // wire payload sizes
     Histogram queueDepthBytes;   // bottleneck backlog sampled at each send
+    // Receiver reconstruction split, per decoded frame that reconstructed
+    // a mesh: field sampling (IK excluded) and iso-surface extraction.
+    Histogram reconFieldMs;
+    Histogram reconExtractMs;
     Counters counters;
 
     void merge(const SessionTelemetry& other);
@@ -124,7 +130,11 @@ struct SessionTelemetry {
 //      schedule comparison) in every MultiSessionStats value, plus the
 //      BENCH_conference "straggler_pipeline" section gating the
 //      within-run pipelined-vs-barrier tick throughput.
-inline constexpr std::uint64_t kBenchSchemaVersion = 5;
+//   6: session telemetry carries the recon_field_ms / recon_extract_ms
+//      stages and the recon_bones_blended / recon_bones_culled counters;
+//      BENCH_fig4 rows carry bones_blended / bones_pruned / bones_culled
+//      (gated by check_fig4.py's capsule-cull ratio).
+inline constexpr std::uint64_t kBenchSchemaVersion = 6;
 
 // Minimal JSON document builder shared by the bench exporters, so ad-hoc
 // bench output (speedups, per-row results) lands in the same files as

@@ -25,11 +25,15 @@ double msSince(std::chrono::steady_clock::time_point start) {
 void copyReconStats(const recon::ReconstructionResult& result, DecodedFrame& out) {
     out.reconBlocksSkipped = result.stats.blocksSkipped;
     out.reconBlocksCached = result.stats.blocksCached;
+    out.reconBonesBlended = result.stats.bonesBlended;
     out.reconBonesPruned = result.stats.bonesPruned;
+    out.reconBonesCulled = result.stats.bonesCulled;
     out.reconNodesEvaluated = result.stats.nodesEvaluated;
     out.reconCertTests = result.stats.certTests;
     out.reconActiveCells = result.stats.activeCells;
     out.reconReusedTopologyBlocks = result.stats.reusedTopologyBlocks;
+    out.reconFieldMs = result.fieldSampleMs;
+    out.reconExtractMs = result.extractMs;
 }
 
 void putU32(std::vector<std::uint8_t>& out, std::uint32_t v) {

@@ -72,11 +72,17 @@ void finalizeSessionStats(SessionStats& stats, const SessionConfig& config) {
             t.decodeMs.record(frame.reconMs);
             t.counters.reconBlocksSkipped += frame.reconBlocksSkipped;
             t.counters.reconBlocksCached += frame.reconBlocksCached;
+            t.counters.reconBonesBlended += frame.reconBonesBlended;
             t.counters.reconBonesPruned += frame.reconBonesPruned;
+            t.counters.reconBonesCulled += frame.reconBonesCulled;
             t.counters.reconNodesEvaluated += frame.reconNodesEvaluated;
             t.counters.reconCertTests += frame.reconCertTests;
             t.counters.reconActiveCells += frame.reconActiveCells;
             t.counters.reconReusedTopologyBlocks += frame.reconReusedTopologyBlocks;
+            if (frame.reconFieldMs > 0.0 || frame.reconExtractMs > 0.0) {
+                t.reconFieldMs.record(frame.reconFieldMs);
+                t.reconExtractMs.record(frame.reconExtractMs);
+            }
             ++reconCount;
         }
         sumStage += std::max(frame.extractMs, frame.reconMs);

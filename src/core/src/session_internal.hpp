@@ -33,11 +33,15 @@ std::size_t effectiveWorkers(const SessionConfig& config);
 inline void copyReconCounters(FrameStats& frame, const DecodedFrame& decoded) {
     frame.reconBlocksSkipped = decoded.reconBlocksSkipped;
     frame.reconBlocksCached = decoded.reconBlocksCached;
+    frame.reconBonesBlended = decoded.reconBonesBlended;
     frame.reconBonesPruned = decoded.reconBonesPruned;
+    frame.reconBonesCulled = decoded.reconBonesCulled;
     frame.reconNodesEvaluated = decoded.reconNodesEvaluated;
     frame.reconCertTests = decoded.reconCertTests;
     frame.reconActiveCells = decoded.reconActiveCells;
     frame.reconReusedTopologyBlocks = decoded.reconReusedTopologyBlocks;
+    frame.reconFieldMs = decoded.reconFieldMs;
+    frame.reconExtractMs = decoded.reconExtractMs;
 }
 
 // Compute every frame-derived aggregate of 'stats' (means, percentiles,

@@ -118,7 +118,9 @@ void Counters::merge(const Counters& other) {
     upgrades += other.upgrades;
     reconBlocksSkipped += other.reconBlocksSkipped;
     reconBlocksCached += other.reconBlocksCached;
+    reconBonesBlended += other.reconBonesBlended;
     reconBonesPruned += other.reconBonesPruned;
+    reconBonesCulled += other.reconBonesCulled;
     reconNodesEvaluated += other.reconNodesEvaluated;
     reconCertTests += other.reconCertTests;
     reconActiveCells += other.reconActiveCells;
@@ -133,6 +135,8 @@ void SessionTelemetry::merge(const SessionTelemetry& other) {
     e2eMs.merge(other.e2eMs);
     bytesPerFrame.merge(other.bytesPerFrame);
     queueDepthBytes.merge(other.queueDepthBytes);
+    reconFieldMs.merge(other.reconFieldMs);
+    reconExtractMs.merge(other.reconExtractMs);
     counters.merge(other.counters);
 }
 
@@ -170,6 +174,8 @@ std::string toJsonValue(const SessionTelemetry& t) {
     appendStage(w, "e2e_ms", t.e2eMs);
     appendStage(w, "bytes_per_frame", t.bytesPerFrame);
     appendStage(w, "queue_depth_bytes", t.queueDepthBytes);
+    appendStage(w, "recon_field_ms", t.reconFieldMs);
+    appendStage(w, "recon_extract_ms", t.reconExtractMs);
     w.endObject();
     w.beginObject("counters")
         .field("frames_captured", t.counters.framesCaptured)
@@ -189,7 +195,9 @@ std::string toJsonValue(const SessionTelemetry& t) {
         .field("upgrades", t.counters.upgrades)
         .field("recon_blocks_skipped", t.counters.reconBlocksSkipped)
         .field("recon_blocks_cached", t.counters.reconBlocksCached)
+        .field("recon_bones_blended", t.counters.reconBonesBlended)
         .field("recon_bones_pruned", t.counters.reconBonesPruned)
+        .field("recon_bones_culled", t.counters.reconBonesCulled)
         .field("recon_nodes_evaluated", t.counters.reconNodesEvaluated)
         .field("recon_cert_tests", t.counters.reconCertTests)
         .field("recon_active_cells", t.counters.reconActiveCells)

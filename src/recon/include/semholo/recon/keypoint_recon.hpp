@@ -74,6 +74,7 @@ struct ReconstructionStats {
     std::uint64_t certTests{0};     // analytic certificate invocations
     std::uint64_t bonesBlended{0};  // capsule blends actually executed
     std::uint64_t bonesPruned{0};   // capsule blends skipped via bounds
+    std::uint64_t bonesCulled{0};   // of bonesPruned, culled per batch call
     // Extraction-stage counters (set in both modes — the block-local
     // extractor runs everywhere; reusedTopologyBlocks is only nonzero on
     // the temporal path, where SparseReconstructor keeps the topology

@@ -99,6 +99,7 @@ ReconstructionResult reconstructFromPose(const body::Pose& pose,
         result.stats.certTests = fs.certTests;
         result.stats.bonesBlended = body.stats->bonesBlended();
         result.stats.bonesPruned = body.stats->bonesPruned();
+        result.stats.bonesCulled = body.stats->bonesCulled();
 
         t0 = std::chrono::steady_clock::now();
         // Same weld opt-out as dense (identical meshes either way); the

@@ -378,6 +378,7 @@ ReconstructionResult SparseReconstructor::reconstruct(const body::Pose& pose) {
     result.stats.certTests = fs.certTests;
     result.stats.bonesBlended = body.stats->bonesBlended();
     result.stats.bonesPruned = body.stats->bonesPruned();
+    result.stats.bonesCulled = body.stats->bonesCulled();
 
     const auto t1 = std::chrono::steady_clock::now();
     // Block-local extraction over the persistent grid: weld skipped (one

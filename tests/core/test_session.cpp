@@ -36,6 +36,37 @@ TEST(Session, KeypointSessionDeliversAllFrames) {
     EXPECT_GT(stats.achievableFps, 0.0);
 }
 
+TEST(Session, KeypointSessionCarriesReconLedger) {
+    // The receiver's field-sampling / extraction split and the capsule
+    // counters reach the frame stats and the session telemetry.
+    KeypointChannelOptions opt;
+    opt.reconResolution = 32;
+    auto channel = makeKeypointChannel(opt);
+    const auto stats = runSession(*channel, sharedModel(), fastConfig(6));
+    ASSERT_EQ(stats.decodedFrames, 6u);
+    std::uint64_t blended = 0, pruned = 0, culled = 0;
+    for (const FrameStats& f : stats.frames) {
+        EXPECT_GT(f.reconFieldMs, 0.0);
+        EXPECT_GT(f.reconExtractMs, 0.0);
+        EXPECT_GT(f.reconBonesBlended, 0u);
+        EXPECT_LE(f.reconBonesCulled, f.reconBonesPruned);
+        blended += f.reconBonesBlended;
+        pruned += f.reconBonesPruned;
+        culled += f.reconBonesCulled;
+    }
+    const auto& t = stats.telemetry;
+    EXPECT_EQ(t.reconFieldMs.count(), 6u);
+    EXPECT_EQ(t.reconExtractMs.count(), 6u);
+    EXPECT_EQ(t.counters.reconBonesBlended, blended);
+    EXPECT_EQ(t.counters.reconBonesPruned, pruned);
+    EXPECT_EQ(t.counters.reconBonesCulled, culled);
+    EXPECT_GT(culled, 0u);
+    const std::string json = t.toJson();
+    for (const char* key : {"\"recon_field_ms\"", "\"recon_extract_ms\"",
+                            "\"recon_bones_blended\"", "\"recon_bones_culled\""})
+        EXPECT_NE(json.find(key), std::string::npos) << key;
+}
+
 TEST(Session, KeypointBandwidthMatchesTable2) {
     // Table 2: compressed keypoint stream ~0.30 Mbps at 30 FPS.
     KeypointChannelOptions opt;
