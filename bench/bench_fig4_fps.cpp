@@ -38,6 +38,7 @@
 #include "semholo/core/thread_pool.hpp"
 #include "semholo/recon/keypoint_recon.hpp"
 #include "semholo/recon/sparse_recon.hpp"
+#include "semholo/support/isosurface_legacy.hpp"
 
 using namespace semholo;
 

@@ -15,6 +15,7 @@
 #include "semholo/mesh/blocksampler.hpp"
 #include "semholo/mesh/isosurface.hpp"
 #include "semholo/recon/keypoint_recon.hpp"
+#include "semholo/support/isosurface_legacy.hpp"
 
 namespace semholo {
 namespace {

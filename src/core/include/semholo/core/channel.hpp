@@ -98,8 +98,8 @@ public:
     // Reset per-session state (delta history, NeRF weights...), leaving
     // the channel as if freshly constructed.
     //
-    // Contract: the session engines (runSession / runMultiUserSession,
-    // serial and parallel) invoke reset() once before a channel's first
+    // Contract: the session engine (runSession / runConference, at any
+    // worker count) invokes reset() once before a channel's first
     // frame, so a channel instance may be reused across sessions without
     // the caller constructing a fresh one. Stateful channels MUST
     // implement this; stateless channels inherit the no-op.

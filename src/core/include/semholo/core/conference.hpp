@@ -10,9 +10,8 @@
 // closed loops fighting over one queue.
 //
 // This is the conference entry API: a ConferenceConfig of owning
-// Participant descriptors replaces the legacy raw-channel-pointer vector
-// of runMultiUserSession (which survives as a deprecated shim that runs
-// the same engine with downlinks and arbitration off).
+// Participant descriptors. The pre-SFU multi-user topology is
+// sharedUplink = true with enableDownlinks = false and no arbiter.
 #pragma once
 
 #include <functional>
@@ -121,7 +120,7 @@ struct ConferenceConfig {
     std::vector<Participant> participants;
     // Conference-wide defaults: fps, frames, timing model, transfer
     // options, the shared-uplink LinkConfig (session.link), the default
-    // degradation ladder, and workers for the parallel engine.
+    // degradation ladder, and workers for the stage-graph executor.
     SessionConfig session;
     ArbiterConfig arbiter;
     // true: all uplinks traverse one bottleneck LinkSimulator built from

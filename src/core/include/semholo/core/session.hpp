@@ -3,25 +3,19 @@
 // stage, and (optionally sampled) reconstruction quality against the
 // ground-truth capture mesh.
 //
-// Two engines share the same semantics:
-//
-//  - the serial engine (workers == 1) runs everything on the calling
-//    thread;
-//  - the parallel engine (workers != 1) fans per-user work (encode,
-//    decode + Chamfer sampling) across a worker pool, while the
-//    shared-bottleneck LinkSimulator remains a single sequenced stage so
-//    capture-order interleaving and congestion semantics match the
-//    serial engine. In single-user runs the pool absorbs the per-frame
-//    quality evaluation.
-//
-// Multi-user runs execute as a completion-event-driven stage graph
-// (encode -> sequenced uplink ticket -> downlink fan-out -> decode per
-// user and tick, with explicit dependency edges), so every participant's
-// throughput estimator and DegradationPolicy observe their own link
-// outcomes before their next tick encodes — the closed loop of the
-// paper's semantic coordinator, at conference scale — while users whose
-// feedback already landed may pipeline ahead of stragglers up to
-// ConferenceConfig::pipelineDepth ticks.
+// One engine runs every session: a completion-event-driven stage graph
+// (encode -> sequenced uplink ticket -> downlink fan-out -> decode ->
+// sampled quality eval per user and tick, with explicit dependency
+// edges). runSession is a one-participant conference on its own uplink
+// with no downlinks and no arbiter; runConference
+// (semholo/core/conference.hpp) is the N-participant SFU. Every
+// participant's throughput estimator and DegradationPolicy observe their
+// own link outcomes before their next tick encodes — the closed loop of
+// the paper's semantic coordinator — while users whose feedback already
+// landed may pipeline ahead of stragglers up to
+// ConferenceConfig::pipelineDepth ticks. With workers == 1 the nodes run
+// in order on the calling thread; otherwise they run over a worker pool
+// the moment their dependencies complete.
 //
 // With TimingModel::Simulated the pipeline clock is fully deterministic,
 // so `workers=1` and `workers=N` produce byte-identical per-frame
@@ -71,12 +65,11 @@ struct SessionConfig {
     // when false, frames queue and latency grows without bound for
     // stages slower than the frame interval.
     bool dropWhenBusy{true};
-    // Worker threads for the parallel engine: 0 = hardware_concurrency,
-    // 1 = exact legacy serial path.
+    // Worker threads of the stage-graph executor: 0 = hardware
+    // concurrency, 1 = nodes run in order on the calling thread.
     std::size_t workers{0};
     TimingModel timing{TimingModel::Measured};
-    // Closed-loop graceful degradation: when enabled, every engine
-    // (single- and multi-user, serial and parallel) runs a
+    // Closed-loop graceful degradation: when enabled, the engine runs a
     // DegradationPolicy over each frame's link outcome and scales the
     // bandwidth estimate fed to rate-adaptive channels, stepping quality
     // down under sustained congestion or injected faults and back up on
@@ -148,30 +141,24 @@ struct SessionStats {
     telemetry::SessionTelemetry telemetry;
 };
 
-// Run a one-way session (site A captures, site B renders). Calls
-// channel.reset() before the first frame; dispatches to the serial or
-// parallel engine based on config.workers.
+// Run a one-way session (site A captures, site B renders) as a
+// one-participant conference: 'channel' on its own uplink built from
+// config.link, no downlinks, no arbiter, the default pipeline depth.
+// Calls channel.reset() before the first frame.
 SessionStats runSession(SemanticChannel& channel, const body::BodyModel& model,
                         const SessionConfig& config);
 
 // ---- Multi-user sessions -------------------------------------------------
 //
-// N participants upload through one shared bottleneck (the conference-
+// Conferences (runConference, semholo/core/conference.hpp) run N
+// participants, by default through one shared bottleneck (the conference-
 // server model of the multi-user volumetric delivery literature the
 // paper builds on). Every user runs their own channel instance and
 // motion seed; their frames interleave on the shared link in capture
-// order, so heavy channels congest each other. Each channel is reset()
-// before its first frame.
-//
-// Both engines are the same frame-tick scheduler: at each capture tick
-// every user encodes that tick's frame (fanned across the worker pool by
-// the parallel engine), the sequenced link stage carries the tick's
-// messages in user order, each user's throughput estimator and
-// DegradationPolicy observe their own link outcomes, and only then does
-// the next tick encode — so conference participants get the same
-// closed-loop feedback as single-user sessions. Under
-// TimingModel::Simulated the serial and parallel engines are
-// byte-identical at any worker count.
+// order, so heavy channels congest each other, and each user's
+// throughput estimator and DegradationPolicy observe their own link
+// outcomes before that user's next encode. Under TimingModel::Simulated
+// runs are byte-identical at any worker count.
 
 // Per-participant fairness accounting for one multi-user session: how
 // delivery, bandwidth and the degradation ladder were shared.
@@ -242,12 +229,12 @@ struct DownlinkStats {
 
 struct PipelineStageStats {
     std::string stage;  // "arbiter" | "encode" | "uplink" | "downlink" |
-                        // "decode" | "retire"
+                        // "decode" | "quality" | "retire"
     std::uint64_t nodes{};
     // Sum of node-body wall time (ms) spent in this stage.
     double busyMs{};
     // Peak number of this stage's nodes executing concurrently (1 for the
-    // serial engine and for sequenced stages such as the uplink tickets).
+    // serial executor and for sequenced stages such as the uplink tickets).
     std::size_t maxConcurrent{};
     // Wall latency (ms) from a node's last dependency completing to the
     // node starting — queueing delay in the worker pool (0 when a node
@@ -292,8 +279,8 @@ struct MultiSessionStats {
     // participant gets the same delivery ratio, -> 1/N under starvation.
     double fairnessIndex{1.0};
     // Per-viewer downlink fan-out accounting; empty when the conference
-    // ran without downlinks (including every legacy runMultiUserSession
-    // call). sum(downlinks[v].bytesForwarded) == serverFanoutBytes.
+    // ran without downlinks. sum(downlinks[v].bytesForwarded) ==
+    // serverFanoutBytes.
     std::vector<DownlinkStats> downlinks;
     std::uint64_t serverFanoutFrames{};
     std::uint64_t serverFanoutBytes{};
@@ -325,17 +312,5 @@ std::string toJsonValue(const SessionStats& stats);
 // Aggregate figures, the per-user fairness array, the per-viewer
 // downlink fan-out (when present), and the merged telemetry.
 std::string toJsonValue(const MultiSessionStats& stats);
-
-// Legacy multi-user entrypoint: runs the conference engine with the
-// shared-uplink topology, downlink fan-out disabled and no arbiter —
-// exactly the pre-SFU semantics. New code should build a
-// ConferenceConfig of Participant descriptors instead
-// (semholo/core/conference.hpp).
-[[deprecated(
-    "use runConference(const ConferenceConfig&, const body::BodyModel&) from "
-    "semholo/core/conference.hpp")]]
-MultiSessionStats runMultiUserSession(
-    const std::vector<SemanticChannel*>& channels, const body::BodyModel& model,
-    const SessionConfig& base);
 
 }  // namespace semholo::core

@@ -7,10 +7,10 @@
 // Thread model: a Histogram is internally synchronised — every accessor
 // (including the lazily sorted percentile cache) takes the instance
 // mutex, so concurrent record/merge/percentile calls from worker threads
-// are safe. A Counters instance is NOT synchronised: the parallel engine
-// gives each worker task its own instance and merge()s them on the
-// coordinating thread; the sequenced link stage owns the link/queue
-// counters outright.
+// are safe. A Counters instance is NOT synchronised: the session engine
+// writes a user's counters only from that user's sequenced uplink
+// ticket chain (link observer, degradation transitions) and from the
+// finalize pass after the run.
 #pragma once
 
 #include <cstdint>

@@ -1,9 +1,12 @@
-// SFU conference engine: a completion-event-driven stage graph. The
-// legacy engine ran each capture tick as three barriered phases (encode
-// fan-out, sequenced uplink, decode fan-out); this engine builds one
-// explicit dependency DAG over typed per-(tick, user) nodes and lets an
-// event-driven executor run every node the instant its dependencies
-// complete — no phase barriers, no tick barriers.
+// The session engine: a completion-event-driven stage graph that runs
+// every session, from a single-user runSession (a one-participant
+// conference on its own uplink, no downlinks, no arbiter) to an SFU
+// conference. The legacy engine ran each capture tick as three
+// barriered phases (encode fan-out, sequenced uplink, decode fan-out);
+// this engine builds one explicit dependency DAG over typed
+// per-(tick, user) nodes and lets an event-driven executor run every
+// node the instant its dependencies complete — no phase barriers, no
+// tick barriers.
 //
 // Node kinds per tick f (inserted in exactly the legacy phase order, so
 // the serial executor *is* the legacy engine):
@@ -26,10 +29,16 @@
 //                  delivered frames to viewer v over v's own downlink,
 //                  thinned by v's subscription ladder.
 //   D(f,u)         decode: the user decodes their delivered frame,
-//                  advances their recon clock, runs the sampled Chamfer
-//                  eval, and appends the tick's FrameStats.
-//   R(f)           retire: join of every D(f,*) and L(f,*); recycles the
-//                  tick's ring slot.
+//                  advances their recon clock and appends the tick's
+//                  FrameStats; on sampled ticks it parks the decoded
+//                  mesh for Q(f,u).
+//   Q(f,u)         quality eval (sampled ticks only): Chamfer of the
+//                  parked mesh against the LBS ground truth, written to
+//                  a per-frame result slot that is folded into
+//                  FrameStats after the run. No encode waits for it, so
+//                  it overlaps the user's next ticks.
+//   R(f)           retire: join of every D(f,*), Q(f,*) and L(f,*);
+//                  recycles the tick's ring slot.
 //
 // Edges (the full byte-identity argument is in DESIGN.md):
 //
@@ -38,7 +47,8 @@
 //   T(f,u) <- E(f,u), previous ticket in its chain
 //   L(f,v) <- T(f,u) per subscribed source, L(f-1,v)
 //   D(f,u) <- T(f,u)            (D(f-1,u) order holds transitively)
-//   R(f)   <- D(f,*), L(f,*), R(f-1)
+//   Q(f,u) <- D(f,u)
+//   R(f)   <- D(f,*), Q(f,*), L(f,*), R(f-1)
 //
 // The payoff: a user's tick f+1 encode is released the moment its own
 // tick f feedback lands (plus slot retirement), so enc-heavy and
@@ -57,6 +67,7 @@
 // MultiSessionStats::downlinks. Stage occupancy, release latency and
 // ticks-in-flight land in MultiSessionStats::pipeline.
 #include <algorithm>
+#include <chrono>
 #include <limits>
 #include <utility>
 #include <vector>
@@ -64,6 +75,7 @@
 #include "semholo/core/conference.hpp"
 #include "semholo/core/session.hpp"
 #include "semholo/core/thread_pool.hpp"
+#include "semholo/mesh/metrics.hpp"
 #include "semholo/net/abr.hpp"
 #include "session_internal.hpp"
 #include "stage_graph.hpp"
@@ -85,10 +97,17 @@ struct TickFrame {
     net::TransferResult transfer;
 };
 
+// Q(f,u)'s output: the sampled frame's Chamfer distance and the wall
+// time the evaluation took.
+struct QualityResult {
+    double chamfer{std::numeric_limits<double>::quiet_NaN()};
+    double wallMs{0.0};
+};
+
 // Per-user state that persists across ticks: the pipeline availability
 // clocks and the closed-loop feedback (throughput estimator +
-// degradation policy) every single-user session also carries, plus the
-// arbiter's demand estimate and target-rate accounting.
+// degradation policy), plus the arbiter's demand estimate and
+// target-rate accounting.
 struct UserState {
     double extractorFreeAt{0.0};
     double reconFreeAt{0.0};
@@ -174,49 +193,19 @@ MultiSessionStats runConferenceTicked(
 
     // ---- Uplink topology -------------------------------------------------
     // Shared mode: one server-ingest bottleneck every participant's
-    // messages traverse (attributed per user by senderTag). Per-user
-    // mode: each participant's own access link. Either way, the link's
-    // observer only runs inside the link's ticket chain, so the per-user
-    // counter writes are sequenced.
+    // messages traverse. Per-user mode: each participant's own access
+    // link. Either way every message carries its sender as senderTag,
+    // and a link's observer only runs inside that link's ticket chain,
+    // so the per-user counter writes are sequenced.
     std::vector<net::LinkSimulator> uplinks;
     if (conf.sharedUplink) {
         uplinks.emplace_back(base.link);
-        uplinks[0].setObserver([&out](const net::TransferResult& r,
-                                      std::size_t queuedBytes) {
-            telemetry::SessionTelemetry& t =
-                out.perUser[static_cast<std::size_t>(r.senderTag)].telemetry;
-            t.counters.packets += r.packets;
-            t.counters.packetsLost += r.lostPackets;
-            t.counters.packetsDelivered += r.deliveredPackets;
-            t.counters.packetsUnrecovered += r.unrecoveredPackets;
-            t.counters.retransmissions += r.retransmissions;
-            t.counters.queueDrops += r.droppedAtQueue;
-            t.counters.bytesSent += r.bytes;
-            t.counters.faultEvents += r.faultEvents;
-            t.queueDepthBytes.record(static_cast<double>(queuedBytes));
-        });
     } else {
         uplinks.reserve(users);
-        for (std::size_t u = 0; u < users; ++u) {
-            const Participant& p = conf.participants[u];
-            uplinks.emplace_back(p.uplink.value_or(base.link));
-        }
-        for (std::size_t u = 0; u < users; ++u) {
-            telemetry::SessionTelemetry& t = out.perUser[u].telemetry;
-            uplinks[u].setObserver([&t](const net::TransferResult& r,
-                                        std::size_t queuedBytes) {
-                t.counters.packets += r.packets;
-                t.counters.packetsLost += r.lostPackets;
-                t.counters.packetsDelivered += r.deliveredPackets;
-                t.counters.packetsUnrecovered += r.unrecoveredPackets;
-                t.counters.retransmissions += r.retransmissions;
-                t.counters.queueDrops += r.droppedAtQueue;
-                t.counters.bytesSent += r.bytes;
-                t.counters.faultEvents += r.faultEvents;
-                t.queueDepthBytes.record(static_cast<double>(queuedBytes));
-            });
-        }
+        for (std::size_t u = 0; u < users; ++u)
+            uplinks.emplace_back(conf.participants[u].uplink.value_or(base.link));
     }
+    for (net::LinkSimulator& link : uplinks) observeLink(link, out.perUser);
     const auto uplinkFor = [&](std::size_t u) -> net::LinkSimulator& {
         return conf.sharedUplink ? uplinks[0] : uplinks[u];
     };
@@ -283,6 +272,13 @@ MultiSessionStats runConferenceTicked(
     const std::size_t depth = std::max<std::size_t>(1, conf.pipelineDepth);
     std::vector<std::vector<TickFrame>> ring(depth,
                                              std::vector<TickFrame>(users));
+    // Sampled quality evaluation: D(f,u) parks the decoded mesh in its
+    // tick slot, Q(f,u) scores it into quality[u][f].
+    const std::size_t qualityInterval = base.qualityEvalInterval;
+    std::vector<std::vector<mesh::TriMesh>> parkedMeshes(
+        qualityInterval > 0 ? depth : 0, std::vector<mesh::TriMesh>(users));
+    std::vector<std::vector<QualityResult>> quality(
+        users, std::vector<QualityResult>(qualityInterval > 0 ? base.frames : 0));
 
     const auto arbiterSharedBody = [&](double captureTime) {
         const double capacity = uplinks[0].effectiveRateAt(captureTime);
@@ -381,7 +377,7 @@ MultiSessionStats runConferenceTicked(
         us.lastSentBytes = p.frame.bytes;
         if (p.transfer.delivered && p.frame.bytes > 0) {
             // Serialization-dominated throughput sample (propagation
-            // subtracted), as in the single-user engines.
+            // subtracted) so small payloads do not bias the estimate low.
             const double serialS =
                 std::max(1e-5, p.transfer.durationS() -
                                    link.config().propagationDelayS);
@@ -437,7 +433,7 @@ MultiSessionStats runConferenceTicked(
 
     // Decode: reads the ring slot (never writes it — the downlink nodes
     // of the same tick may still be reading), advances this user's recon
-    // clock and (when sampled) runs the Chamfer eval.
+    // clock and (when sampled) parks the decoded mesh for Q(f,u).
     const auto decodeBody = [&](std::size_t f, std::size_t slot,
                                 std::size_t u) {
         const TickFrame& p = ring[slot][u];
@@ -454,7 +450,7 @@ MultiSessionStats runConferenceTicked(
             if (base.dropWhenBusy && us.reconFreeAt > arrival) {
                 frame.droppedAtReceiver = true;
             } else {
-                const DecodedFrame decoded = channels[u]->decode(p.encoded);
+                DecodedFrame decoded = channels[u]->decode(p.encoded);
                 frame.decoded = decoded.valid;
                 frame.reconMs = decoded.reconMs();
                 copyReconCounters(frame, decoded);
@@ -463,12 +459,9 @@ MultiSessionStats runConferenceTicked(
                     std::max(arrival, us.reconFreeAt) + stageMs / 1000.0;
                 us.reconFreeAt = renderTime;
                 frame.e2eMs = (renderTime - p.captureTime) * 1000.0;
-                if (decoded.valid && base.qualityEvalInterval > 0 &&
-                    f % base.qualityEvalInterval == 0 &&
-                    !decoded.mesh.empty()) {
-                    evaluateQuality(frame, model, p.pose, decoded.mesh,
-                                    base.qualitySamples);
-                }
+                if (decoded.valid && qualityInterval > 0 &&
+                    f % qualityInterval == 0)
+                    parkedMeshes[slot][u] = std::move(decoded.mesh);
             }
         } else {
             frame.e2eMs = (p.transfer.completionTime - p.captureTime) * 1000.0;
@@ -477,10 +470,31 @@ MultiSessionStats runConferenceTicked(
         return stageMs;
     };
 
+    // Quality eval: Chamfer of the parked mesh against the LBS ground
+    // truth. Writes only its own result slot and empties the parked mesh
+    // (D(f+depth,u) refills it only after R(f)). It is a measurement,
+    // not a pipeline stage: its wall time lands in FrameStats::qualityMs
+    // and it returns no simulated cost, so it never moves the clocks or
+    // the schedule comparison.
+    const auto qualityBody = [&](std::size_t f, std::size_t slot,
+                                 std::size_t u) {
+        const mesh::TriMesh mesh = std::exchange(parkedMeshes[slot][u], {});
+        if (mesh.empty()) return 0.0;
+        const auto t0 = std::chrono::steady_clock::now();
+        const mesh::TriMesh truth = model.deform(ring[slot][u].pose);
+        QualityResult& q = quality[u][f];
+        q.chamfer = mesh::compareMeshes(truth, mesh, base.qualitySamples).chamfer;
+        q.wallMs = std::chrono::duration<double, std::milli>(
+                       std::chrono::steady_clock::now() - t0)
+                       .count();
+        return 0.0;
+    };
+
     // ---- Graph construction ------------------------------------------------
     // Nodes are inserted in the legacy per-tick phase order (arbiter,
-    // encodes, tickets, downlinks, decodes, retire), so runSerial() is
-    // the legacy schedule; the edges are everything runParallel() needs.
+    // encodes, tickets, downlinks, decodes, quality evals, retire), so
+    // runSerial() is the legacy schedule; the edges are everything
+    // runParallel() needs.
     StageGraph graph;
     constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
     std::vector<std::size_t> prevTicket(users, kNone);
@@ -490,7 +504,8 @@ MultiSessionStats runConferenceTicked(
     retireNodes.reserve(base.frames);
     std::size_t lastTicketGlobal = kNone;
     std::size_t prevRetire = kNone;
-    std::vector<std::size_t> enc(users), tix(users), dec(users), downNodes;
+    std::vector<std::size_t> enc(users), tix(users), dec(users), downNodes,
+        qualityNodes;
 
     for (std::size_t f = 0; f < base.frames; ++f) {
         const std::size_t slot = f % depth;
@@ -585,11 +600,26 @@ MultiSessionStats runConferenceTicked(
             prevDecode[u] = dec[u];
         }
 
+        // Quality eval on sampled ticks: after its own decode, joined
+        // only by the retire — no encode waits for it.
+        qualityNodes.clear();
+        if (qualityInterval > 0 && f % qualityInterval == 0) {
+            for (std::size_t u = 0; u < users; ++u) {
+                const std::size_t node =
+                    graph.addNode(StageKind::Quality, tick, u, [&, f, slot, u] {
+                        return qualityBody(f, slot, u);
+                    });
+                graph.addEdge(dec[u], node);
+                qualityNodes.push_back(node);
+            }
+        }
+
         // Retire: the tick's completion join; releases its ring slot for
         // tick f + depth.
         const std::size_t retire =
             graph.addNode(StageKind::Retire, tick, kNone, [] { return 0.0; });
         for (std::size_t u = 0; u < users; ++u) graph.addEdge(dec[u], retire);
+        for (const std::size_t node : qualityNodes) graph.addEdge(node, retire);
         for (const std::size_t node : downNodes) graph.addEdge(node, retire);
         if (prevRetire != kNone) graph.addEdge(prevRetire, retire);
         prevRetire = retire;
@@ -603,6 +633,15 @@ MultiSessionStats runConferenceTicked(
         graph.runSerial();
     graph.fillStats(out.pipeline, pool != nullptr ? pool->size() : 1);
     out.pipeline.pipelineDepth = depth;
+
+    // Fold the quality results into the sampled frames (D(f,u) appended
+    // frame f of user u).
+    for (std::size_t u = 0; u < users; ++u) {
+        for (std::size_t f = 0; f < quality[u].size(); f += qualityInterval) {
+            out.perUser[u].frames[f].chamfer = quality[u][f].chamfer;
+            out.perUser[u].frames[f].qualityMs = quality[u][f].wallMs;
+        }
+    }
 
     // Downlink rollup: per-viewer totals, the conference-wide fan-out
     // totals, and each viewer's share of the fanned-out bytes.

@@ -1,12 +1,9 @@
 #include "semholo/core/session.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 
 #include "semholo/core/thread_pool.hpp"
-#include "semholo/mesh/metrics.hpp"
-#include "semholo/net/abr.hpp"
 #include "session_internal.hpp"
 
 namespace semholo::core {
@@ -17,8 +14,11 @@ std::size_t effectiveWorkers(const SessionConfig& config) {
     return config.workers == 0 ? ThreadPool::defaultWorkers() : config.workers;
 }
 
-void observeLink(net::LinkSimulator& link, telemetry::SessionTelemetry& t) {
-    link.setObserver([&t](const net::TransferResult& r, std::size_t queuedBytes) {
+void observeLink(net::LinkSimulator& link, std::vector<SessionStats>& perUser) {
+    link.setObserver([&perUser](const net::TransferResult& r,
+                                std::size_t queuedBytes) {
+        telemetry::SessionTelemetry& t =
+            perUser[static_cast<std::size_t>(r.senderTag)].telemetry;
         t.counters.packets += r.packets;
         t.counters.packetsLost += r.lostPackets;
         t.counters.packetsDelivered += r.deliveredPackets;
@@ -140,134 +140,6 @@ void finalizeMultiSessionStats(MultiSessionStats& out, const SessionConfig& conf
     if (e2eCount > 0) out.meanE2eMs = totalE2e / static_cast<double>(e2eCount);
 }
 
-namespace {
-
-double msSince(std::chrono::steady_clock::time_point start) {
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - start)
-        .count();
-}
-
-}  // namespace
-
-// Evaluate decoded-mesh quality against the LBS ground truth for one
-// frame; shared by both engines (the parallel engine runs it inside
-// pool tasks). Deterministic given the pose/mesh/samples.
-void evaluateQuality(FrameStats& frame, const body::BodyModel& model,
-                     const body::Pose& pose, const mesh::TriMesh& decodedMesh,
-                     std::size_t samples) {
-    const auto t0 = std::chrono::steady_clock::now();
-    const mesh::TriMesh gt = model.deform(pose);
-    frame.chamfer = mesh::compareMeshes(gt, decodedMesh, samples).chamfer;
-    frame.qualityMs = msSince(t0);
-}
-
-SessionStats runSessionSerial(SemanticChannel& channel,
-                              const body::BodyModel& model,
-                              const SessionConfig& config) {
-    SessionStats stats;
-    channel.reset();
-    net::LinkSimulator link(config.link);
-    observeLink(link, stats.telemetry);
-    const body::MotionGenerator motion(config.motion, model.shape(),
-                                       config.motionSeed);
-
-    // Sender extractor and receiver reconstructor are sequential pipeline
-    // stages with their own availability clocks.
-    double extractorFreeAt = 0.0;
-    double reconFreeAt = 0.0;
-    // Receiver throughput feedback loop for rate-adaptive channels, and
-    // the closed-loop degradation policy that scales it under faults.
-    net::HarmonicEstimator throughput(5);
-    DegradationPolicy degrade(config.degradation, config.fps,
-                              config.link.queueCapacityBytes);
-
-    for (std::size_t f = 0; f < config.frames; ++f) {
-        const double captureTime = static_cast<double>(f) / config.fps;
-        FrameContext ctx;
-        ctx.pose = motion.poseAt(captureTime);
-        ctx.pose.frameId = static_cast<std::uint32_t>(f);
-        ctx.model = &model;
-        ctx.timestamp = captureTime;
-        ctx.viewerHead = config.viewerHead;
-        if (throughput.hasEstimate())
-            ctx.estimatedBandwidthBps =
-                throughput.estimate() * degrade.bandwidthScale();
-
-        FrameStats frame;
-        frame.frameId = ctx.pose.frameId;
-
-        if (config.dropWhenBusy && extractorFreeAt > captureTime) {
-            frame.droppedAtSender = true;
-            stats.frames.push_back(std::move(frame));
-            continue;
-        }
-
-        const EncodedFrame encoded = channel.encode(ctx);
-        frame.bytes = encoded.bytes();
-        frame.extractMs = encoded.extractMs();
-        const double extractStart = std::max(captureTime, extractorFreeAt);
-        const double sendTime =
-            extractStart + internal::clockExtractMs(encoded, config.timing) / 1000.0;
-        extractorFreeAt = sendTime;
-
-        const std::size_t queuedAtSend =
-            config.degradation.enabled ? link.queuedBytesAt(sendTime) : 0;
-        const auto transfer =
-            link.sendMessage(encoded.bytes(), sendTime, config.transfer);
-        frame.delivered = transfer.delivered;
-        frame.transferMs = transfer.durationS() * 1000.0;
-        if (transfer.delivered && encoded.bytes() > 0) {
-            // Serialization-dominated throughput sample (propagation
-            // subtracted) so small payloads do not bias the estimate low.
-            const double serialS = std::max(
-                1e-5, transfer.durationS() - config.link.propagationDelayS);
-            throughput.addSample(static_cast<double>(encoded.bytes()) * 8.0 /
-                                 serialS);
-        }
-        if (config.degradation.enabled) {
-            const DegradationAction action = degrade.observe(
-                frame.frameId,
-                {transfer.delivered, transfer.durationS(),
-                 transfer.unrecoveredPackets, transfer.droppedAtQueue,
-                 transfer.faultEvents, queuedAtSend});
-            if (action == DegradationAction::StepDown)
-                ++stats.telemetry.counters.degradations;
-            else if (action == DegradationAction::StepUp)
-                ++stats.telemetry.counters.upgrades;
-        }
-
-        if (transfer.delivered) {
-            const double arrival = transfer.completionTime;
-            if (config.dropWhenBusy && reconFreeAt > arrival) {
-                frame.droppedAtReceiver = true;
-                stats.frames.push_back(std::move(frame));
-                continue;
-            }
-            DecodedFrame decoded = channel.decode(encoded);
-            frame.decoded = decoded.valid;
-            frame.reconMs = decoded.reconMs();
-            internal::copyReconCounters(frame, decoded);
-            const double reconStart = std::max(arrival, reconFreeAt);
-            const double renderTime =
-                reconStart + internal::clockReconMs(decoded, config.timing) / 1000.0;
-            reconFreeAt = renderTime;
-            frame.e2eMs = (renderTime - captureTime) * 1000.0;
-            if (decoded.valid && config.qualityEvalInterval > 0 &&
-                f % config.qualityEvalInterval == 0 && !decoded.mesh.empty()) {
-                evaluateQuality(frame, model, ctx.pose, decoded.mesh,
-                                config.qualitySamples);
-            }
-        } else {
-            frame.e2eMs = (transfer.completionTime - captureTime) * 1000.0;
-        }
-        stats.frames.push_back(std::move(frame));
-    }
-
-    finalizeSessionStats(stats, config);
-    return stats;
-}
-
 }  // namespace internal
 
 std::size_t MultiSessionStats::usersWithinLatency(double budgetMs) const {
@@ -279,23 +151,16 @@ std::size_t MultiSessionStats::usersWithinLatency(double budgetMs) const {
 
 SessionStats runSession(SemanticChannel& channel, const body::BodyModel& model,
                         const SessionConfig& config) {
-    const std::size_t workers = internal::effectiveWorkers(config);
-    if (workers <= 1) return internal::runSessionSerial(channel, model, config);
-    return internal::runSessionParallel(channel, model, config, workers);
-}
-
-MultiSessionStats runMultiUserSession(
-    const std::vector<SemanticChannel*>& channels, const body::BodyModel& model,
-    const SessionConfig& base) {
-    // Legacy shim: the conference engine with the pre-SFU topology —
-    // shared uplink, no downlink fan-out, no arbiter — which is
-    // byte-identical to the old multi-user scheduler.
+    // A one-participant conference: the caller's channel on its own
+    // uplink (config.link), no downlink fan-out, no arbiter.
     ConferenceConfig conf;
-    conf.session = base;
-    conf.participants.resize(channels.size());
-    conf.sharedUplink = true;
+    conf.session = config;
+    conf.participants.resize(1);
+    conf.sharedUplink = false;
     conf.enableDownlinks = false;
-    return internal::runConferenceWithChannels(conf, channels, model);
+    conf.arbiter.strategy = ArbiterStrategy::None;
+    return std::move(
+        internal::runConferenceWithChannels(conf, {&channel}, model).perUser[0]);
 }
 
 }  // namespace semholo::core

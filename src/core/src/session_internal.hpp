@@ -1,7 +1,6 @@
-// Shared internals of the serial and parallel session engines: pipeline
-// clock helpers, stat aggregation, and the link telemetry observer. Not
-// installed — both engines must aggregate identically so the parallel
-// engine can be validated bit-for-bit against the serial one.
+// Internals of the session engine (the conference stage graph that also
+// runs single-user sessions): pipeline clock helpers, stat aggregation,
+// and the link telemetry observer. Not installed.
 #pragma once
 
 #include "semholo/core/conference.hpp"
@@ -29,7 +28,7 @@ inline double clockReconMs(const DecodedFrame& decoded, TimingModel timing) {
 std::size_t effectiveWorkers(const SessionConfig& config);
 
 // Copy a decoded frame's reconstruction work accounting into the frame
-// stats (both engines call this so aggregation stays identical).
+// stats.
 inline void copyReconCounters(FrameStats& frame, const DecodedFrame& decoded) {
     frame.reconBlocksSkipped = decoded.reconBlocksSkipped;
     frame.reconBlocksCached = decoded.reconBlocksCached;
@@ -56,40 +55,24 @@ void finalizeSessionStats(SessionStats& stats, const SessionConfig& config);
 void finalizeMultiSessionStats(MultiSessionStats& out, const SessionConfig& config);
 
 // Record packet/loss/retransmission/queue-drop counters and queue-depth
-// samples of every message 'link' carries into 't'. The link is a
-// sequenced single-thread stage; 't' must outlive the link's use.
-void observeLink(net::LinkSimulator& link, telemetry::SessionTelemetry& t);
-
-// One frame's Chamfer evaluation vs the LBS ground truth (fills
-// frame.chamfer / frame.qualityMs). Deterministic given its inputs, so
-// both engines produce identical quality numbers.
-void evaluateQuality(FrameStats& frame, const body::BodyModel& model,
-                     const body::Pose& pose, const mesh::TriMesh& decodedMesh,
-                     std::size_t samples);
-
-// Serial engine (the workers == 1 path), defined in session.cpp.
-SessionStats runSessionSerial(SemanticChannel& channel,
-                              const body::BodyModel& model,
-                              const SessionConfig& config);
-
-// Parallel engine, defined in parallel_session.cpp.
-SessionStats runSessionParallel(SemanticChannel& channel,
-                                const body::BodyModel& model,
-                                const SessionConfig& config, std::size_t workers);
+// samples of every message 'link' carries into the telemetry of its
+// sender, perUser[senderTag]. The link is a sequenced single-thread
+// stage; 'perUser' must outlive the link's use and keep its size.
+void observeLink(net::LinkSimulator& link, std::vector<SessionStats>& perUser);
 
 // The one conference implementation (multiuser_session.cpp): an
 // event-driven stage graph — per (tick, user) nodes for arbiter targets,
 // encode, sequenced uplink entry (a per-link ticket chain preserving the
-// (frame, user) order), downlink fan-out, decode and tick retirement,
-// with explicit dependency edges. pool == nullptr executes the graph in
-// insertion order (the legacy per-tick phase schedule); otherwise nodes
-// run the moment their dependencies complete, pipelining up to
-// ConferenceConfig::pipelineDepth ticks. Both executors touch every
+// (frame, user) order), downlink fan-out, decode, sampled quality eval
+// and tick retirement, with explicit dependency edges. pool == nullptr
+// executes the graph in insertion order (the legacy per-tick phase
+// schedule); otherwise nodes run the moment their dependencies complete,
+// pipelining up to ConferenceConfig::pipelineDepth ticks. Both executors touch every
 // mutable resource in the same per-resource order, so runs are
 // byte-identical under TimingModel::Simulated at any worker count.
 // 'channels' are externally owned, one per conf.participants entry
-// (built by runConference from the descriptors, or supplied verbatim by
-// the deprecated runMultiUserSession shim).
+// (built by runConference from the descriptors, or the caller's channel
+// of a runSession).
 MultiSessionStats runConferenceTicked(
     const ConferenceConfig& conf, const std::vector<SemanticChannel*>& channels,
     const body::BodyModel& model, ThreadPool* pool);

@@ -53,6 +53,7 @@ const char* stageName(StageKind kind) {
         case StageKind::Uplink: return "uplink";
         case StageKind::Downlink: return "downlink";
         case StageKind::Decode: return "decode";
+        case StageKind::Quality: return "quality";
         case StageKind::Retire: return "retire";
     }
     return "unknown";
@@ -304,6 +305,7 @@ void StageGraph::simulateSchedules(PipelineStats& stats,
             case StageKind::Uplink:
                 sequencedCost[node.tick] += node.simCostMs;
                 break;
+            case StageKind::Quality:  // no simulated cost; wall time only
             case StageKind::Retire:
                 break;
         }

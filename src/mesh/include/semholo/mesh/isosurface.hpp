@@ -24,8 +24,10 @@
 // is what keeps the dense/sparse and cached/fresh bit-identity
 // guarantees intact (and keeps the index deltas the mesh codec feeds on
 // as local as the legacy extractor's).
-// The previous serial extractor is retained as extractIsoSurfaceLegacy
-// for differential tests and the within-run benchmark baseline.
+// The previous serial extractor lives outside the library, as
+// extractIsoSurfaceLegacy in the semholo_support target
+// (support/include/semholo/support/isosurface_legacy.hpp): the oracle of
+// the differential tests and the within-run benchmark baseline.
 #pragma once
 
 #include "semholo/mesh/blocksampler.hpp"
@@ -147,15 +149,5 @@ TriMesh extractIsoSurface(const ScalarField& field, const geom::AABB& bounds,
                           int resolution, const IsoSurfaceOptions& options,
                           const FieldSampleOptions& sampling,
                           FieldSampleStats* stats = nullptr);
-
-// Reference implementation: the original serial cell scan with hashed
-// edge dedup and per-triangle geometric orientation. Retained for
-// differential testing and as the within-run baseline of the extraction
-// benchmarks; emits the same triangle set as the block extractor (equal
-// under canonicalTriangleSoup) with a different vertex numbering.
-TriMesh extractIsoSurfaceLegacy(const VoxelGrid& grid,
-                                const IsoSurfaceOptions& options = {});
-TriMesh extractIsoSurfaceLegacy(const VoxelGrid& grid, const BlockSampler& sampler,
-                                const IsoSurfaceOptions& options = {});
 
 }  // namespace semholo::mesh

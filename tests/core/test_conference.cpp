@@ -2,13 +2,9 @@
 // fan-out accounting (per-viewer bytes sum to the server totals, packet
 // conservation on every uplink and downlink), the serial/parallel
 // byte-identity contract with downlinks and arbitration enabled, the
-// subscription ladder, the BandwidthArbiter allocation properties, and
-// the legacy runMultiUserSession shim's equivalence to the conference
-// engine.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
+// subscription ladder, and the BandwidthArbiter allocation properties.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <vector>
 
 #include "semholo/core/conference.hpp"
@@ -104,39 +100,6 @@ TEST(Conference, ChannelFactoryOverridesSpec) {
     EXPECT_TRUE(factoryUsed);
     EXPECT_EQ(stats.perUser.size(), 1u);
     EXPECT_GT(stats.perUser[0].deliveredFrames, 0u);
-}
-
-TEST(Conference, LegacyShimMatchesConferenceEngine) {
-    // The deprecated runMultiUserSession must be the conference engine
-    // with the pre-SFU topology: shared uplink, no downlinks, no
-    // arbiter — byte-identical frames, not just similar aggregates.
-    SessionConfig base;
-    base.frames = 12;
-    base.timing = TimingModel::Simulated;
-    base.link.bandwidth = net::BandwidthTrace::constant(25e6);
-    base.link.jitterStddevS = 0.0;
-    base.degradation.enabled = true;
-
-    std::vector<std::unique_ptr<SemanticChannel>> owned;
-    std::vector<SemanticChannel*> channels;
-    for (std::size_t u = 0; u < 3; ++u) {
-        owned.push_back(makeKeypointChannel({}));
-        channels.push_back(owned.back().get());
-    }
-    const auto legacy = runMultiUserSession(channels, sharedModel(), base);
-
-    ConferenceConfig conf;
-    conf.session = base;
-    conf.sharedUplink = true;
-    conf.enableDownlinks = false;
-    conf.participants.resize(3);
-    for (auto& p : conf.participants) p.channel = {"keypoint", {}};
-    const auto modern = runConference(conf, sharedModel());
-
-    expectSameFrames(legacy, modern);
-    EXPECT_TRUE(legacy.downlinks.empty());
-    EXPECT_TRUE(modern.downlinks.empty());
-    EXPECT_DOUBLE_EQ(legacy.fairnessIndex, modern.fairnessIndex);
 }
 
 // ---- Downlink fan-out accounting -------------------------------------------

@@ -1,12 +1,9 @@
-// These tests intentionally exercise the deprecated
-// runMultiUserSession shim: it must stay byte-identical to the
-// conference engine it forwards to.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
+// Multi-user sessions on the pre-SFU topology: a conference whose
+// participants share one uplink bottleneck, with no downlink fan-out and
+// no arbiter.
 #include <gtest/gtest.h>
 
-#include <memory>
-
-#include "semholo/core/session.hpp"
+#include "semholo/core/conference.hpp"
 
 namespace semholo::core {
 namespace {
@@ -16,22 +13,18 @@ const body::BodyModel& sharedModel() {
     return model;
 }
 
-std::vector<std::unique_ptr<SemanticChannel>> makeKeypointFleet(std::size_t n,
-                                                                int resolution = 16) {
-    std::vector<std::unique_ptr<SemanticChannel>> out;
-    for (std::size_t i = 0; i < n; ++i) {
-        KeypointChannelOptions opt;
-        opt.reconResolution = resolution;
-        out.push_back(makeKeypointChannel(opt));
-    }
-    return out;
-}
+const ChannelSpec kKeypoint{"keypoint", {{"reconResolution", 16}}};
 
-std::vector<SemanticChannel*> raw(
-    const std::vector<std::unique_ptr<SemanticChannel>>& owned) {
-    std::vector<SemanticChannel*> out;
-    for (const auto& c : owned) out.push_back(c.get());
-    return out;
+// 'users' participants publishing 'spec' through one shared uplink.
+MultiSessionStats runSharedUplink(const ChannelSpec& spec, std::size_t users,
+                                  const SessionConfig& base) {
+    ConferenceConfig conf;
+    conf.session = base;
+    conf.sharedUplink = true;
+    conf.enableDownlinks = false;
+    conf.participants.resize(users);
+    for (Participant& p : conf.participants) p.channel = spec;
+    return runConference(conf, sharedModel());
 }
 
 SessionConfig baseConfig(std::size_t frames = 10) {
@@ -44,14 +37,13 @@ SessionConfig baseConfig(std::size_t frames = 10) {
 }
 
 TEST(MultiUser, EmptyChannelListSafe) {
-    const auto stats = runMultiUserSession({}, sharedModel(), baseConfig());
+    const auto stats = runSharedUplink(kKeypoint, 0, baseConfig());
     EXPECT_TRUE(stats.perUser.empty());
     EXPECT_DOUBLE_EQ(stats.aggregateMbps, 0.0);
 }
 
 TEST(MultiUser, SingleUserMatchesSoloSessionScale) {
-    auto fleet = makeKeypointFleet(1);
-    const auto multi = runMultiUserSession(raw(fleet), sharedModel(), baseConfig());
+    const auto multi = runSharedUplink(kKeypoint, 1, baseConfig());
     ASSERT_EQ(multi.perUser.size(), 1u);
     const auto& s = multi.perUser[0];
     EXPECT_EQ(s.deliveredFrames, 10u);
@@ -60,16 +52,13 @@ TEST(MultiUser, SingleUserMatchesSoloSessionScale) {
 }
 
 TEST(MultiUser, AggregateBandwidthScalesWithUsers) {
-    auto two = makeKeypointFleet(2);
-    auto four = makeKeypointFleet(4);
-    const auto s2 = runMultiUserSession(raw(two), sharedModel(), baseConfig());
-    const auto s4 = runMultiUserSession(raw(four), sharedModel(), baseConfig());
+    const auto s2 = runSharedUplink(kKeypoint, 2, baseConfig());
+    const auto s4 = runSharedUplink(kKeypoint, 4, baseConfig());
     EXPECT_NEAR(s4.aggregateMbps, 2.0 * s2.aggregateMbps, 0.3 * s2.aggregateMbps);
 }
 
 TEST(MultiUser, DistinctMotionSeedsPerUser) {
-    auto fleet = makeKeypointFleet(2);
-    const auto stats = runMultiUserSession(raw(fleet), sharedModel(), baseConfig());
+    const auto stats = runSharedUplink(kKeypoint, 2, baseConfig());
     // Different seeds -> different poses -> (slightly) different
     // compressed payload sizes on at least one frame.
     bool differs = false;
@@ -82,24 +71,16 @@ TEST(MultiUser, DistinctMotionSeedsPerUser) {
 TEST(MultiUser, SharedBottleneckCongestsHeavyChannels) {
     // Four raw-mesh users through 25 Mbps: latency must blow up relative
     // to a single user.
-    auto makeMeshFleet = [](std::size_t n) {
-        std::vector<std::unique_ptr<SemanticChannel>> out;
-        for (std::size_t i = 0; i < n; ++i)
-            out.push_back(makeTraditionalChannel({false, false}));
-        return out;
-    };
-    auto one = makeMeshFleet(1);
-    auto four = makeMeshFleet(4);
+    const ChannelSpec rawMesh{"traditional", {{"compress", 0}, {"withColors", 0}}};
     SessionConfig cfg = baseConfig(6);
     cfg.link.queueCapacityBytes = 8 * 1024 * 1024;
-    const auto s1 = runMultiUserSession(raw(one), sharedModel(), cfg);
-    const auto s4 = runMultiUserSession(raw(four), sharedModel(), cfg);
+    const auto s1 = runSharedUplink(rawMesh, 1, cfg);
+    const auto s4 = runSharedUplink(rawMesh, 4, cfg);
     EXPECT_GT(s4.meanE2eMs, s1.meanE2eMs * 2.0);
 }
 
 TEST(MultiUser, KeypointFleetMeetsLatencyBudget) {
-    auto fleet = makeKeypointFleet(6);
-    const auto stats = runMultiUserSession(raw(fleet), sharedModel(), baseConfig());
+    const auto stats = runSharedUplink(kKeypoint, 6, baseConfig());
     EXPECT_EQ(stats.usersWithinLatency(200.0), 6u);
     EXPECT_LT(stats.aggregateMbps, 3.0);
 }

@@ -1,16 +1,13 @@
-// The parallel engine's contract: under TimingModel::Simulated,
-// workers=1 (exact legacy serial path) and workers=N produce identical
-// per-frame byte/delivery/drop sequences for every registered channel
-// kind, identical Chamfer samples, and identical aggregates.
-// These tests intentionally exercise the deprecated
-// runMultiUserSession shim: it must stay byte-identical to the
-// conference engine it forwards to.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
+// The session engine's worker-count contract: under
+// TimingModel::Simulated, workers=1 (stage-graph nodes in order on the
+// calling thread) and workers=N (event-driven over the pool) produce
+// identical per-frame byte/delivery/drop sequences for every registered
+// channel kind, identical Chamfer samples, and identical aggregates. The
+// multi-user cases run the pre-SFU topology: one shared uplink, no
+// downlink fan-out, no arbiter.
 #include <gtest/gtest.h>
 
-#include <memory>
-
-#include "semholo/core/session.hpp"
+#include "semholo/core/conference.hpp"
 #include "semholo/core/thread_pool.hpp"
 
 namespace semholo::core {
@@ -35,6 +32,17 @@ ChannelSpec cheapSpec(const std::string& kind) {
     else if (kind == "vector")
         spec.params = {{"latentDim", 8}, {"trainingFrames", 10}};
     return spec;
+}
+
+MultiSessionStats runSharedUplink(const ChannelSpec& spec, std::size_t users,
+                                  const SessionConfig& base) {
+    ConferenceConfig conf;
+    conf.session = base;
+    conf.sharedUplink = true;
+    conf.enableDownlinks = false;
+    conf.participants.resize(users);
+    for (Participant& p : conf.participants) p.channel = spec;
+    return runConference(conf, sharedModel());
 }
 
 SessionConfig deterministicConfig(std::size_t frames) {
@@ -76,14 +84,8 @@ TEST(ParallelSession, MultiUserDeterministicAcrossWorkerCountsAllKinds) {
         for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
             // Fresh channels per engine run: identical construction from
             // the same spec, so any divergence is the engine's.
-            std::vector<std::unique_ptr<SemanticChannel>> owned;
-            std::vector<SemanticChannel*> channels;
-            for (int u = 0; u < 2; ++u) {
-                owned.push_back(makeChannel(cheapSpec(kind), &sharedModel()));
-                channels.push_back(owned.back().get());
-            }
             cfg.workers = workers;
-            results[slot++] = runMultiUserSession(channels, sharedModel(), cfg);
+            results[slot++] = runSharedUplink(cheapSpec(kind), 2, cfg);
         }
 
         ASSERT_EQ(results[0].perUser.size(), results[1].perUser.size());
@@ -122,12 +124,8 @@ TEST(ParallelSession, SenderDropsAreDeterministicUnderSimulatedTiming) {
                      {{"reconResolution", 12}, {"simulatedDetectMs", 50.0}}};
 
     for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
-        std::vector<std::unique_ptr<SemanticChannel>> owned;
-        std::vector<SemanticChannel*> channels;
-        owned.push_back(makeChannel(spec));
-        channels.push_back(owned.back().get());
         cfg.workers = workers;
-        const auto stats = runMultiUserSession(channels, sharedModel(), cfg);
+        const auto stats = runSharedUplink(spec, 1, cfg);
         const auto& frames = stats.perUser[0].frames;
         ASSERT_EQ(frames.size(), 8u);
         for (std::size_t f = 0; f < frames.size(); ++f) {
@@ -160,14 +158,8 @@ TEST(ParallelSession, ChannelResetInvokedBySessionStart) {
 TEST(ParallelSession, TelemetryPopulatedByBothEngines) {
     SessionConfig cfg = deterministicConfig(6);
     for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
-        std::vector<std::unique_ptr<SemanticChannel>> owned;
-        std::vector<SemanticChannel*> channels;
-        for (int u = 0; u < 2; ++u) {
-            owned.push_back(makeChannel(cheapSpec("keypoint")));
-            channels.push_back(owned.back().get());
-        }
         cfg.workers = workers;
-        const auto stats = runMultiUserSession(channels, sharedModel(), cfg);
+        const auto stats = runSharedUplink(cheapSpec("keypoint"), 2, cfg);
         const auto& t = stats.telemetry;
         EXPECT_EQ(t.counters.framesCaptured, 12u) << "workers=" << workers;
         EXPECT_GT(t.counters.packets, 0u);

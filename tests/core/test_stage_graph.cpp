@@ -7,6 +7,7 @@
 // telemetry surfaced through MultiSessionStats::pipeline.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -167,6 +168,44 @@ TEST(StageGraph, SerialRunReportsBarrierEquivalentSchedule) {
     EXPECT_NEAR(p.simulatedStageGraphMs, p.simulatedBarrierMs,
                 1e-6 * p.simulatedBarrierMs);
     EXPECT_NEAR(p.simulatedSpeedup, 1.0, 1e-9);
+}
+
+TEST(StageGraph, QualityNodesRunOnSampledTicksOnly) {
+    // Sampled Chamfer evaluation runs as Q(f,u) nodes off the decode
+    // chain: one per user on every sampled tick, results folded into
+    // exactly those frames, identical on the serial and pooled executors.
+    std::vector<MultiSessionStats> runs;
+    for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+        ConferenceConfig conf;
+        conf.session.frames = 7;
+        conf.session.timing = TimingModel::Simulated;
+        conf.session.qualityEvalInterval = 3;
+        conf.session.qualitySamples = 300;
+        conf.session.workers = workers;
+        conf.participants.resize(2);
+        for (Participant& p : conf.participants)
+            p.channel = {"keypoint", {{"reconResolution", 12}}};
+        runs.push_back(runConference(conf, sharedModel()));
+    }
+    for (const MultiSessionStats& run : runs) {
+        std::uint64_t qualityNodes = 0;
+        for (const PipelineStageStats& s : run.pipeline.stages)
+            if (s.stage == "quality") qualityNodes = s.nodes;
+        EXPECT_EQ(qualityNodes, 2u * 3u);  // ticks 0, 3, 6
+        for (const SessionStats& user : run.perUser) {
+            ASSERT_EQ(user.frames.size(), 7u);
+            for (std::size_t f = 0; f < user.frames.size(); ++f) {
+                EXPECT_EQ(std::isnan(user.frames[f].chamfer), f % 3 != 0)
+                    << "frame " << f;
+                EXPECT_EQ(user.frames[f].qualityMs > 0.0, f % 3 == 0)
+                    << "frame " << f;
+            }
+        }
+    }
+    for (std::size_t u = 0; u < 2; ++u)
+        for (std::size_t f = 0; f < 7; f += 3)
+            EXPECT_EQ(runs[0].perUser[u].frames[f].chamfer,
+                      runs[1].perUser[u].frames[f].chamfer);
 }
 
 // ---- Deterministic pipelining win ------------------------------------------

@@ -12,6 +12,7 @@
 
 #include "semholo/core/thread_pool.hpp"
 #include "semholo/mesh/blocksampler.hpp"
+#include "semholo/support/isosurface_legacy.hpp"
 
 namespace semholo::mesh {
 namespace {
@@ -143,14 +144,15 @@ TEST(IsoSurfaceParallel, SparseMatchesLegacySparse) {
 TEST(IsoSurfaceParallel, BlockDecompositionDoesNotChangeOutput) {
     // The dense path (no sampler, kDenseBlockSize tiles) and the sparse
     // path (sampler-sized tiles) must emit identical bytes — the
-    // canonical ordering is decomposition-independent.
+    // canonical ordering is decomposition-independent. Sampler blocks
+    // wider than a row word (64) take the dense tiling.
     const auto field = blobField();
     const int res = 40;
     VoxelGrid dense(unitBounds(), {res, res, res});
     dense.sample(field);
 
     VoxelGrid sparse(unitBounds(), {res, res, res});
-    for (const int blockSize : {4, 8, 16}) {
+    for (const int blockSize : {4, 8, 16, 64}) {
         BlockSampler sampler(sparse, blockSize);
         FieldSampleOptions sampling;
         sampling.blockPruning = false;  // grids identical node-for-node
