@@ -182,16 +182,6 @@ void BodyFieldStats::reset() noexcept {
 
 namespace {
 
-// Conservative per-capsule data for the per-query skip test: the
-// segment's axis-aligned box plus the larger end radius. For any point,
-// capsuleDistance >= dist(point, segment box) - rmax, so
-//   dist2(q, box) > (d + kFieldBlend + rmax)^2
-// certifies the capsule's smooth-min contribution is the identity.
-struct BonePruneData {
-    Vec3f lo, hi;
-    float rmax;
-};
-
 float aabbDistance2(Vec3f p, Vec3f lo, Vec3f hi) {
     const float dx = std::max({lo.x - p.x, 0.0f, p.x - hi.x});
     const float dy = std::max({lo.y - p.y, 0.0f, p.y - hi.y});
@@ -202,21 +192,89 @@ float aabbDistance2(Vec3f p, Vec3f lo, Vec3f hi) {
 using BatchKernel = void (*)(const detail::BodyBatchData&, const float*,
                              const float*, const float*, float*, std::size_t,
                              std::uint64_t&, std::uint64_t&, std::uint64_t&);
+using BoundsKernel = detail::CapsuleBounds (*)(const detail::BodyBatchData&, Vec3f);
+
+bool useAvx2Kernels() {
+#if defined(SEMHOLO_HAVE_AVX2_KERNELS)
+    return !geom::simd::forcedScalar() && geom::simd::cpuHasAvx2();
+#else
+    return false;
+#endif
+}
 
 BatchKernel pickBatchKernel() {
 #if defined(SEMHOLO_HAVE_AVX2_KERNELS)
-    if (!geom::simd::forcedScalar() && geom::simd::cpuHasAvx2())
-        return &detail::evaluateBodyBatchAvx2;
+    if (useAvx2Kernels()) return &detail::evaluateBodyBatchAvx2;
 #endif
     return &detail::evaluateBodyBatchBaseline;
 }
 
+BoundsKernel pickBoundsKernel() {
+#if defined(SEMHOLO_HAVE_AVX2_KERNELS)
+    if (useAvx2Kernels()) return &detail::capsuleBoundsAvx2;
+#endif
+    return &detail::capsuleBoundsBaseline;
+}
+
 }  // namespace
 
+namespace detail {
+
+BodyBatchData packCapsules(const std::vector<PosedCapsule>& capsules) {
+    BodyBatchData data;
+    data.count = capsules.size();
+    for (const PosedCapsule& c : capsules) {
+        data.ax.push_back(c.a.x);
+        data.ay.push_back(c.a.y);
+        data.az.push_back(c.a.z);
+        data.bx.push_back(c.b.x);
+        data.by.push_back(c.b.y);
+        data.bz.push_back(c.b.z);
+        const Vec3f ab = c.b - c.a;
+        data.abx.push_back(ab.x);
+        data.aby.push_back(ab.y);
+        data.abz.push_back(ab.z);
+        data.len2.push_back(ab.norm2());
+        data.ra.push_back(c.ra);
+        data.rb.push_back(c.rb);
+        data.drr.push_back(c.rb - c.ra);
+        // Conservative per-capsule data for the per-query skip test: the
+        // segment's axis-aligned box plus the larger end radius. For any
+        // point, capsuleDistance >= dist(point, segment box) - rmax, so
+        //   dist2(q, box) > (d + kFieldBlend + rmax)^2
+        // certifies the capsule's smooth-min contribution is the identity.
+        const Vec3f lo{std::min(c.a.x, c.b.x), std::min(c.a.y, c.b.y),
+                       std::min(c.a.z, c.b.z)};
+        const Vec3f hi{std::max(c.a.x, c.b.x), std::max(c.a.y, c.b.y),
+                       std::max(c.a.z, c.b.z)};
+        data.lox.push_back(lo.x);
+        data.loy.push_back(lo.y);
+        data.loz.push_back(lo.z);
+        data.hix.push_back(hi.x);
+        data.hiy.push_back(hi.y);
+        data.hiz.push_back(hi.z);
+        data.rmax.push_back(std::max(c.ra, c.rb));
+        data.extent = std::max({data.extent, std::fabs(lo.x), std::fabs(lo.y),
+                                std::fabs(lo.z), std::fabs(hi.x), std::fabs(hi.y),
+                                std::fabs(hi.z)});
+    }
+    const std::size_t padded =
+        (capsules.size() + kCapsulePad - 1) / kCapsulePad * kCapsulePad;
+    for (auto* v : {&data.ax, &data.ay, &data.az, &data.bx, &data.by, &data.bz,
+                    &data.ra, &data.rb, &data.lox, &data.loy, &data.loz, &data.hix,
+                    &data.hiy, &data.hiz, &data.rmax})
+        v->resize(padded, 0.0f);
+    return data;
+}
+
+CapsuleBounds capsuleBounds(const BodyBatchData& data, Vec3f center) {
+    return pickBoundsKernel()(data, center);
+}
+
+}  // namespace detail
+
 const char* bodyBatchBackend() {
-#if defined(SEMHOLO_HAVE_AVX2_KERNELS)
-    if (!geom::simd::forcedScalar() && geom::simd::cpuHasAvx2()) return "avx2";
-#endif
+    if (useAvx2Kernels()) return "avx2";
     if (geom::simd::forcedScalar()) return "scalar";
     return geom::simd::backendName(geom::simd::baselineBackend());
 }
@@ -235,8 +293,6 @@ BodyField makeBodyField(const Pose& pose, const Skeleton& skeleton,
     BodyField out;
     out.stats = std::make_shared<BodyFieldStats>();
     out.capsules.reserve(bones.size());
-    std::vector<BonePruneData> prune;
-    prune.reserve(bones.size());
     // Round-cone Lipschitz constant: the radius lerp along the segment
     // adds |ra - rb| / length to the unit distance gradient. The
     // smooth-min fold is a convex combination of its inputs, so the
@@ -244,17 +300,14 @@ BodyField makeBodyField(const Pose& pose, const Skeleton& skeleton,
     float capsuleLip = 1.0f;
     for (const PosedBone& b : bones) {
         out.capsules.push_back({b.a, b.b, b.ra, b.rb});
-        BonePruneData bd;
-        bd.lo = {std::min(b.a.x, b.b.x), std::min(b.a.y, b.b.y),
-                 std::min(b.a.z, b.b.z)};
-        bd.hi = {std::max(b.a.x, b.b.x), std::max(b.a.y, b.b.y),
-                 std::max(b.a.z, b.b.z)};
-        bd.rmax = std::max(b.ra, b.rb);
-        prune.push_back(bd);
         const float len = (b.b - b.a).norm();
         if (len > 1e-6f)
             capsuleLip = std::max(capsuleLip, 1.0f + std::fabs(b.ra - b.rb) / len);
     }
+    // SoA capsule data shared by the per-point field, the batch kernel
+    // and the certificate kernel.
+    auto data =
+        std::make_shared<detail::BodyBatchData>(detail::packCapsules(out.capsules));
 
     // Expression warp: the query offset's gradient bound multiplies into
     // the composed field's Lipschitz constant; its region gates (jaw
@@ -307,9 +360,8 @@ BodyField makeBodyField(const Pose& pose, const Skeleton& skeleton,
 
     const bool hasExpression = a0 > 0.0f || a1 > 0.0f || a2 > 0.0f || a3 > 0.0f;
 
-    out.field = [bones, prune, expr, hasExpression, headXf,
-                 headInv, headRest, rootInv, options,
-                 stats = out.stats](Vec3f p) {
+    out.field = [bones, data, expr, hasExpression, headXf, headInv, headRest, rootInv,
+                 options, stats = out.stats](Vec3f p) {
         Vec3f q = p;
         if (hasExpression) {
             const Vec3f pHeadLocal = headInv.apply(p) + headRest;
@@ -321,9 +373,10 @@ BodyField makeBodyField(const Pose& pose, const Skeleton& skeleton,
         std::uint32_t pruned = 0;
         for (std::size_t i = 0; i < bones.size(); ++i) {
             if (options.bonePruning) {
-                const BonePruneData& bd = prune[i];
-                const float t = d + kFieldBlend + bd.rmax;
-                if (t < 0.0f || aabbDistance2(q, bd.lo, bd.hi) > t * t) {
+                const float t = d + kFieldBlend + data->rmax[i];
+                if (t < 0.0f ||
+                    aabbDistance2(q, {data->lox[i], data->loy[i], data->loz[i]},
+                                  {data->hix[i], data->hiy[i], data->hiz[i]}) > t * t) {
                     ++pruned;
                     continue;
                 }
@@ -342,62 +395,26 @@ BodyField makeBodyField(const Pose& pose, const Skeleton& skeleton,
     // SoA batch evaluator: same math, eight lanes at a time. The kernel
     // mirrors the closure above operation for operation, so batch and
     // per-point results are bit-identical (the test suites assert this).
-    {
-        auto data = std::make_shared<detail::BodyBatchData>();
-        data->count = bones.size();
-        for (const PosedBone& b : bones) {
-            data->ax.push_back(b.a.x);
-            data->ay.push_back(b.a.y);
-            data->az.push_back(b.a.z);
-            const Vec3f ab = b.b - b.a;
-            data->abx.push_back(ab.x);
-            data->aby.push_back(ab.y);
-            data->abz.push_back(ab.z);
-            data->len2.push_back(ab.norm2());
-            data->ra.push_back(b.ra);
-            data->drr.push_back(b.rb - b.ra);
-        }
-        for (const BonePruneData& bd : prune) {
-            data->lox.push_back(bd.lo.x);
-            data->loy.push_back(bd.lo.y);
-            data->loz.push_back(bd.lo.z);
-            data->hix.push_back(bd.hi.x);
-            data->hiy.push_back(bd.hi.y);
-            data->hiz.push_back(bd.hi.z);
-            data->rmax.push_back(bd.rmax);
-            data->extent = std::max(
-                {data->extent, std::fabs(bd.lo.x), std::fabs(bd.lo.y),
-                 std::fabs(bd.lo.z), std::fabs(bd.hi.x), std::fabs(bd.hi.y),
-                 std::fabs(bd.hi.z)});
-        }
-        const std::size_t padded =
-            (bones.size() + detail::kCapsulePad - 1) / detail::kCapsulePad *
-            detail::kCapsulePad;
-        for (auto* v : {&data->lox, &data->loy, &data->loz, &data->hix, &data->hiy,
-                        &data->hiz})
-            v->resize(padded, 0.0f);
-        data->bonePruning = options.bonePruning;
-        data->hasExpression = hasExpression;
-        data->expr = expr;
-        data->faceBounds = out.faceBounds;
-        data->maxWarp = maxWarp;
-        data->headXf = headXf;
-        data->headInv = headInv;
-        data->headRest = headRest;
-        data->clothingDetail = options.clothingDetail;
-        data->clothingAmplitude = options.clothingAmplitude;
-        data->rootInv = rootInv;
-        const BatchKernel kernel = pickBatchKernel();
-        out.batch = [data, kernel, stats = out.stats](
-                        const float* xs, const float* ys, const float* zs,
-                        float* vals, std::size_t n) {
-            std::uint64_t blended = 0;
-            std::uint64_t pruned = 0;
-            std::uint64_t culled = 0;
-            kernel(*data, xs, ys, zs, vals, n, blended, pruned, culled);
-            stats->add(blended, pruned, culled);
-        };
-    }
+    data->bonePruning = options.bonePruning;
+    data->hasExpression = hasExpression;
+    data->expr = expr;
+    data->faceBounds = out.faceBounds;
+    data->maxWarp = maxWarp;
+    data->headXf = headXf;
+    data->headInv = headInv;
+    data->headRest = headRest;
+    data->clothingDetail = options.clothingDetail;
+    data->clothingAmplitude = options.clothingAmplitude;
+    data->rootInv = rootInv;
+    out.batch = [data, kernel = pickBatchKernel(), stats = out.stats](
+                    const float* xs, const float* ys, const float* zs, float* vals,
+                    std::size_t n) {
+        std::uint64_t blended = 0;
+        std::uint64_t pruned = 0;
+        std::uint64_t culled = 0;
+        kernel(*data, xs, ys, zs, vals, n, blended, pruned, culled);
+        stats->add(blended, pruned, culled);
+    };
 
     // Analytic block certificate. For any query q within 'radius' of the
     // center c, with crude (but 1-Lipschitz-in-q) per-capsule bounds:
@@ -406,38 +423,29 @@ BodyField makeBodyField(const Pose& pose, const Skeleton& skeleton,
     //   capsuleDistance_i(q) <= min(|q-a_i| - ra_i, |q-b_i| - rb_i)
     //                        <= min(|c-a_i| - ra_i, |c-b_i| - rb_i) + radius
     // and the smooth-min fold satisfies min_i - kFieldBlend <= f <= min_i,
-    // so one pass over the capsules brackets f over the whole ball. The
-    // expression warp shifts the query by at most 'maxWarp' but only for
-    // points inside the face region, and the clothing displacement adds
-    // at most its amplitude: both widen the bracket only when they can
-    // apply. No global cone-slope constant ever enters, which is what
-    // keeps the shell of unskippable blocks thin for expressive poses.
+    // so one pass over the capsules brackets f over the whole ball: the
+    // capsule-bounds kernel folds the first lines into lb and the second
+    // into ub, eight capsules per lane group. The expression warp shifts
+    // the query by at most 'maxWarp' but only for points inside the face
+    // region, and the clothing displacement adds at most its amplitude:
+    // both widen the bracket only when they can apply. No global
+    // cone-slope constant ever enters, which is what keeps the shell of
+    // unskippable blocks thin for expressive poses.
     const float clothingSlack =
         options.clothingDetail ? options.clothingAmplitude : 0.0f;
-    out.certificate = [capsules = out.capsules, face = out.faceBounds, maxWarp,
-                       clothingSlack](Vec3f center, float radius,
-                                      float slack) -> bool {
+    out.certificate = [data, bounds = pickBoundsKernel(), face = out.faceBounds,
+                       maxWarp, clothingSlack](Vec3f center, float radius,
+                                               float slack) -> bool {
         float r = radius;
         if (maxWarp > 0.0f &&
             aabbDistance2(center, face.lo, face.hi) <= radius * radius)
             r += maxWarp;
         const float clear = r + slack + clothingSlack + 1e-4f;
-        float lb = std::numeric_limits<float>::max();  // min_i capsule lower bound
-        float ub = std::numeric_limits<float>::max();  // min_i capsule upper bound
-        for (const PosedCapsule& c : capsules) {
-            const Vec3f lo{std::min(c.a.x, c.b.x), std::min(c.a.y, c.b.y),
-                           std::min(c.a.z, c.b.z)};
-            const Vec3f hi{std::max(c.a.x, c.b.x), std::max(c.a.y, c.b.y),
-                           std::max(c.a.z, c.b.z)};
-            lb = std::min(
-                lb, std::sqrt(aabbDistance2(center, lo, hi)) - std::max(c.ra, c.rb));
-            ub = std::min(ub, std::min((center - c.a).norm() - c.ra,
-                                       (center - c.b).norm() - c.rb));
-        }
+        const detail::CapsuleBounds b = bounds(*data, center);
         // Exterior: f >= lb - radius - kFieldBlend > slack over the ball.
-        if (lb - kFieldBlend > clear) return true;
+        if (b.lb - kFieldBlend > clear) return true;
         // Interior: f <= ub + radius < -slack over the ball.
-        if (ub < -clear) return true;
+        if (b.ub < -clear) return true;
         return false;
     };
     return out;

@@ -159,20 +159,36 @@ private:
     }
     std::uint64_t ownedNodes(int block) const;
     void fillBlock(int block, float value);
-    // Evaluate or fill one block; returns nodes evaluated and whether the
-    // block was skipped.
+    // Field values at 'centers': one options.batch call when set (the
+    // batch is bit-identical per point), one field call each otherwise.
+    void probeCenters(const std::vector<Vec3f>& centers, const ScalarField& field,
+                      const FieldSampleOptions& options,
+                      std::vector<float>& values) const;
+    // Evaluate or fill one block. A block the analytic certificate
+    // clears is appended to 'certified' and filled by the caller.
     void processBlock(int block, const ScalarField& field,
-                      const FieldSampleOptions& options, FieldSampleStats& stats);
-    // Coarse-to-fine certificate descent: appends blocks needing a leaf
-    // pass to 'work' and coarse fills to 'fills'.
+                      const FieldSampleOptions& options, FieldSampleStats& stats,
+                      std::vector<int>& certified);
+    // A coarse octree node's fill for one dirty block beneath it: the
+    // value is probes[probe] of the descent.
     struct CoarseFill {
         int block;
-        float value;
+        std::size_t probe;
     };
+    // Items [begin, end) of the sampling pass: index i < work.size() is
+    // leaf block work[i], the rest are coarse fills. Leaf blocks the
+    // certificate clears are filled at the end, from one probe batch.
+    void processRange(const std::vector<int>& work, const std::vector<CoarseFill>& fills,
+                      const std::vector<float>& probeValues, std::size_t begin,
+                      std::size_t end, const ScalarField& field,
+                      const FieldSampleOptions& options, FieldSampleStats& stats);
+    // Coarse-to-fine certificate descent: appends blocks needing a leaf
+    // pass to 'work', coarse fills to 'fills' and each certified node's
+    // probe point to 'probes'.
     void descend(Vec3i lo, Vec3i hi, const std::vector<std::uint8_t>& dirtyLeaf,
-                 const ScalarField& field, const FieldSampleOptions& options,
-                 FieldSampleStats& stats, std::vector<int>& work,
-                 std::vector<CoarseFill>& fills);
+                 const FieldSampleOptions& options, FieldSampleStats& stats,
+                 std::vector<int>& work, std::vector<CoarseFill>& fills,
+                 std::vector<Vec3f>& probes);
 
     VoxelGrid& grid_;
     int blockSize_{8};

@@ -7,16 +7,22 @@
 // Extracted meshes are watertight wherever the field's zero level set
 // lies strictly inside the grid.
 //
-// The production extractor is two-pass, block-local and table-driven
-// (see isosurface.cpp for the layout):
+// The production extractor is two-pass, tile-local and table-driven
+// (see isosurface.cpp for the layout). Tiles are the smallest whole
+// number of sampler blocks spanning at least 16 nodes per axis (8-node
+// units stand in without a sampler); a tile is extracted when any of
+// its sampler blocks is not certified surface-free.
 //
-//   pass 1  per-block node sign rows (SIMD compares over the sampled
+//   pass 1  per-tile node sign rows (SIMD compares over the sampled
 //           planes) -> active-cell lists + exact per-row vertex and
 //           triangle counts;
-//   pass 2  geometry emitted from a per-cube case table (windings decided
-//           by replaying the legacy per-triangle orientation test, bit
-//           for bit), vertices direct-indexed by (node, edge direction)
-//           instead of hashed, written at offsets fixed by prefix sums.
+//   pass 2  each crossing edge's position computed once per tile into a
+//           tile-local table (vertices direct-indexed by (node, edge
+//           direction) instead of hashed, written at offsets fixed by
+//           prefix sums), then geometry emitted from a per-cube case
+//           table, windings decided by replaying the legacy
+//           per-triangle orientation test on the table's positions, bit
+//           for bit.
 //
 // Output ordering is canonical — triangles in cell scan order, vertices
 // numbered by first use in that triangle stream — so the mesh is
@@ -64,18 +70,21 @@ struct IsoSurfaceOptions {
     BatchScalarField batch;
 };
 
-// Counters from one extraction pass.
+// Counters from one extraction pass. Block counts are in the sampler's
+// block units (8-node units without a sampler) whatever the tile size,
+// so they divide by FieldSampleStats::blocksTotal; a tile contributes
+// the blocks inside it that are not certified surface-free.
 struct ExtractStats {
     std::size_t blocksTotal{};           // blocks tiled over the grid
-    std::size_t blocksExtracted{};       // blocks holding >= 1 crossing edge
-    std::size_t reusedTopologyBlocks{};  // cache hits: sign rows unchanged
+    std::size_t blocksExtracted{};       // live blocks in tiles holding >= 1 crossing edge
+    std::size_t reusedTopologyBlocks{};  // live blocks in tiles whose sign rows are unchanged
     std::uint64_t activeCells{};         // mixed-sign cells emitted from
     std::uint64_t vertices{};            // crossing-edge vertices emitted
     std::uint64_t triangles{};           // table triangles emitted (pre-cleanup)
 };
 
-// Persistent per-block topology cache for repeated extraction over one
-// grid (recon::SparseReconstructor owns one per session). When a block
+// Persistent per-tile topology cache for repeated extraction over one
+// grid (recon::SparseReconstructor owns one per session). When a tile
 // re-samples but its halo node signs are unchanged, its active-cell
 // list, case configs and per-row counts are reused and only vertex
 // positions are recomputed. Contents are an implementation detail of
@@ -92,7 +101,7 @@ public:
     // -- internal state (managed by extractIsoSurface) --
     struct Block {
         bool valid{false};
-        std::uint32_t epoch{0};  // last extraction pass this block was live in
+        std::uint32_t epoch{0};  // last extraction pass this tile was live in
         std::vector<std::uint64_t> signRows;  // halo sign bits, (z,y) rows
         std::vector<std::uint32_t> cells;     // packed active cells + configs
         std::vector<std::uint16_t> rowVerts;  // crossing edges per owned node row
@@ -106,9 +115,9 @@ public:
     Vec3i res{-1, -1, -1};
     Vec3f boundsLo{}, boundsHi{};
     float isoValue{0.0f};
-    int blockSize{0};
+    int blockSize{0};                // tile edge in nodes
     std::uint32_t epoch{0};          // extraction pass counter
-    std::vector<std::int32_t> slot;  // block index -> blocks[] entry or -1
+    std::vector<std::int32_t> slot;  // tile index -> blocks[] entry or -1
     std::vector<Block> blocks;
 };
 

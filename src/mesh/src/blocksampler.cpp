@@ -95,9 +95,31 @@ void BlockSampler::nodeBall(Vec3i lo, Vec3i hi, Vec3f& center,
     radius = (last.hi - center).norm();
 }
 
+void BlockSampler::probeCenters(const std::vector<Vec3f>& centers,
+                                const ScalarField& field,
+                                const FieldSampleOptions& options,
+                                std::vector<float>& values) const {
+    values.resize(centers.size());
+    if (centers.empty()) return;
+    if (!options.batch) {
+        for (std::size_t i = 0; i < centers.size(); ++i) values[i] = field(centers[i]);
+        return;
+    }
+    // The batch evaluator returns each point's per-point bits, so one
+    // call over scattered centres fills exactly what per-center probes
+    // would.
+    std::vector<float> xs(centers.size()), ys(centers.size()), zs(centers.size());
+    for (std::size_t i = 0; i < centers.size(); ++i) {
+        xs[i] = centers[i].x;
+        ys[i] = centers[i].y;
+        zs[i] = centers[i].z;
+    }
+    options.batch(xs.data(), ys.data(), zs.data(), values.data(), centers.size());
+}
+
 void BlockSampler::processBlock(int block, const ScalarField& field,
                                 const FieldSampleOptions& options,
-                                FieldSampleStats& stats) {
+                                FieldSampleStats& stats, std::vector<int>& certified) {
     const BlockRange r = blockRange(block);
     const auto owned =
         static_cast<std::uint64_t>(r.nodeHi.x - r.nodeLo.x + 1) *
@@ -111,29 +133,30 @@ void BlockSampler::processBlock(int block, const ScalarField& field,
         // midpoint with the full guard radius stays conservative because
         // the guard region never extends more than guardRadius_ from it.
         const Vec3f center = blockCenter(block);
-        float d = 0.0f;
-        bool certified;
         if (options.certificate) {
-            // Analytic certificate: no field probe needed to decide.
+            // Analytic certificate: no field probe needed to decide. The
+            // fill probe is deferred so the caller evaluates the centres
+            // of every block it certified in one batch.
             ++stats.certTests;
-            certified = options.certificate(center, guardRadius_);
-            if (certified) {
-                d = field(center);
+            if (options.certificate(center, guardRadius_)) {
+                certified.push_back(block);
                 ++stats.nodesEvaluated;
+                ++stats.blocksSkipped;
+                surfaceFree_[static_cast<std::size_t>(block)] = 1;
+                return;
             }
         } else {
-            d = field(center);
+            const float d = field(center);
             ++stats.nodesEvaluated;
-            certified =
-                std::fabs(d) > options.lipschitz * guardRadius_ + options.margin;
-        }
-        if (certified) {
-            // Fill with the (correctly signed) center value so extraction
-            // cells that straddle this block see a consistent field.
-            fillBlock(block, d);
-            ++stats.blocksSkipped;
-            surfaceFree_[static_cast<std::size_t>(block)] = 1;
-            return;
+            if (std::fabs(d) > options.lipschitz * guardRadius_ + options.margin) {
+                // Fill with the (correctly signed) center value so
+                // extraction cells that straddle this block see a
+                // consistent field.
+                fillBlock(block, d);
+                ++stats.blocksSkipped;
+                surfaceFree_[static_cast<std::size_t>(block)] = 1;
+                return;
+            }
         }
     }
 
@@ -173,12 +196,38 @@ void BlockSampler::processBlock(int block, const ScalarField& field,
     surfaceFree_[static_cast<std::size_t>(block)] = 0;
 }
 
+void BlockSampler::processRange(const std::vector<int>& work,
+                                const std::vector<CoarseFill>& fills,
+                                const std::vector<float>& probeValues, std::size_t begin,
+                                std::size_t end, const ScalarField& field,
+                                const FieldSampleOptions& options,
+                                FieldSampleStats& stats) {
+    std::vector<int> certified;
+    for (std::size_t i = begin; i < end; ++i) {
+        if (i < work.size()) {
+            processBlock(work[i], field, options, stats, certified);
+        } else {
+            const CoarseFill& f = fills[i - work.size()];
+            fillBlock(f.block, probeValues[f.probe]);
+        }
+    }
+    // Fill every leaf the certificate cleared with its centre value
+    // (correctly signed, so extraction cells straddling the block see a
+    // consistent field).
+    std::vector<Vec3f> centers;
+    centers.reserve(certified.size());
+    for (const int b : certified) centers.push_back(blockCenter(b));
+    std::vector<float> values;
+    probeCenters(centers, field, options, values);
+    for (std::size_t i = 0; i < certified.size(); ++i) fillBlock(certified[i], values[i]);
+}
+
 void BlockSampler::descend(Vec3i lo, Vec3i hi,
                            const std::vector<std::uint8_t>& dirtyLeaf,
-                           const ScalarField& field,
                            const FieldSampleOptions& options,
                            FieldSampleStats& stats, std::vector<int>& work,
-                           std::vector<CoarseFill>& fills) {
+                           std::vector<CoarseFill>& fills,
+                           std::vector<Vec3f>& probes) {
     // Skip subtrees with no dirty block (their leaves were already
     // accounted as cached by the prefilter).
     bool anyDirty = false;
@@ -200,20 +249,23 @@ void BlockSampler::descend(Vec3i lo, Vec3i hi,
     // holds for each block individually — and the field's sign is
     // constant across the ball, so one probe's value is a valid fill for
     // every dirty block beneath (extraction cells touching filled nodes
-    // lie wholly inside the certified region; see the header proof).
+    // lie wholly inside the certified region; see the header proof). The
+    // probe at the ball's centre is evaluated after the descent, with
+    // every other coarse probe in one batch.
     Vec3f center;
     float radius;
     nodeBall(lo, hi, center, radius);
     ++stats.certTests;
     if (options.certificate(center, radius)) {
-        const float d = field(center);
+        const std::size_t probe = probes.size();
+        probes.push_back(center);
         ++stats.nodesEvaluated;
         for (int z = lo.z; z <= hi.z; ++z)
             for (int y = lo.y; y <= hi.y; ++y)
                 for (int x = lo.x; x <= hi.x; ++x) {
                     const int b = blockIndex({x, y, z});
                     if (dirtyLeaf[static_cast<std::size_t>(b)] == 0) continue;
-                    fills.push_back({b, d});
+                    fills.push_back({b, probe});
                     ++stats.blocksSkipped;
                     ++stats.blocksCoarseFilled;
                     stats.nodesTotal += ownedNodes(b);
@@ -233,7 +285,7 @@ void BlockSampler::descend(Vec3i lo, Vec3i hi,
                 const Vec3i chi{ox ? hi.x : mid.x, oy ? hi.y : mid.y,
                                 oz ? hi.z : mid.z};
                 if (clo.x > chi.x || clo.y > chi.y || clo.z > chi.z) continue;
-                descend(clo, chi, dirtyLeaf, field, options, stats, work, fills);
+                descend(clo, chi, dirtyLeaf, options, stats, work, fills, probes);
             }
 }
 
@@ -246,6 +298,8 @@ FieldSampleStats BlockSampler::sample(const ScalarField& field,
 
     std::vector<int> work;
     work.reserve(static_cast<std::size_t>(count));
+    std::vector<CoarseFill> fills;
+    std::vector<float> probeValues;
     const bool useOctree = options.blockPruning && options.hierarchical &&
                            static_cast<bool>(options.certificate) && count > 1;
     if (useOctree) {
@@ -258,13 +312,14 @@ FieldSampleStats BlockSampler::sample(const ScalarField& field,
             }
         }
         // Serial descent decides every block's fate (cert tests are a few
-        // capsule-distance bounds each); the expensive full samples fan
-        // out below. Coarse fills are applied here — memory-bound writes
-        // whose values never depend on scheduling.
-        std::vector<CoarseFill> fills;
+        // capsule-distance bounds each); one batch call then evaluates
+        // every coarse node's fill probe. The coarse fills (memory-bound
+        // writes whose values never depend on scheduling) fan out below
+        // with the leaf blocks.
+        std::vector<Vec3f> probes;
         descend({0, 0, 0}, {blocks_.x - 1, blocks_.y - 1, blocks_.z - 1},
-                dirtyLeaf, field, options, total, work, fills);
-        for (const CoarseFill& f : fills) fillBlock(f.block, f.value);
+                dirtyLeaf, options, total, work, fills, probes);
+        probeCenters(probes, field, options, probeValues);
     } else {
         for (int b = 0; b < count; ++b) {
             if (dirty != nullptr && (*dirty)[static_cast<std::size_t>(b)] == 0) {
@@ -276,24 +331,24 @@ FieldSampleStats BlockSampler::sample(const ScalarField& field,
         }
     }
 
-    if (options.pool == nullptr || options.pool->size() <= 1 || work.size() <= 1) {
-        for (const int b : work) processBlock(b, field, options, total);
+    // Items [0, work.size()) are leaf blocks, the rest coarse fills.
+    const std::size_t items = work.size() + fills.size();
+    if (options.pool == nullptr || options.pool->size() <= 1 || items <= 1) {
+        processRange(work, fills, probeValues, 0, items, field, options, total);
         return total;
     }
 
-    // Chunk the block list so task overhead stays negligible. Chunk
+    // Chunk the item list so task overhead stays negligible. Chunk
     // boundaries may vary with pool size, but every node value is a pure
     // function of (field, block), so the sampled grid is identical for
     // any worker count; the stats are sums and commute.
     core::ThreadPool& pool = *options.pool;
     const std::size_t chunks =
-        std::min(work.size(), std::max<std::size_t>(1, pool.size() * 8));
+        std::min(items, std::max<std::size_t>(1, pool.size() * 8));
     std::vector<FieldSampleStats> perChunk(chunks);
     pool.parallelFor(chunks, [&](std::size_t c) {
-        const std::size_t begin = work.size() * c / chunks;
-        const std::size_t end = work.size() * (c + 1) / chunks;
-        for (std::size_t i = begin; i < end; ++i)
-            processBlock(work[i], field, options, perChunk[c]);
+        processRange(work, fills, probeValues, items * c / chunks,
+                     items * (c + 1) / chunks, field, options, perChunk[c]);
     });
     for (const FieldSampleStats& s : perChunk) {
         total.blocksSampled += s.blocksSampled;

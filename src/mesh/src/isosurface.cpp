@@ -174,32 +174,39 @@ const CaseTable& caseTable() {
 // ---------------------------------------------------------------------
 // Block-local two-pass extractor.
 //
-// The grid is tiled into blocks (the sampler's tiling when present, 8^3
-// otherwise). Pass 1 builds per-block node sign rows — one 64-bit word
-// of (value < iso) bits per (z, y) row — with SIMD compares over the
-// contiguous x runs, then derives per-block active-cell lists and exact
-// per-row vertex / triangle counts from pure word arithmetic. A serial
-// prefix over those counts fixes every block's output offsets, and
-// pass 2 writes vertices and table triangles directly into their final
-// slots: disjoint writes, no locks, byte-identical for any worker count.
+// The grid is tiled into extraction tiles whose edge is the smallest
+// multiple of the sampler's block edge that reaches kMinTileSize nodes
+// (the dense unit kDenseBlockSize stands in when there is no sampler);
+// a tile is live when any sampler block inside it is not certified
+// surface-free. Coarse tiles keep the sign-row halo (tile + 2 nodes per
+// axis) and the per-tile bookkeeping small against the owned volume;
+// sampler blocks stay small for certificate granularity. Pass 1 builds
+// per-tile node sign rows — one 64-bit word of (value < iso) bits per
+// (z, y) row — with SIMD compares over the contiguous x runs, then
+// derives per-tile active-cell lists and exact per-row vertex / triangle
+// counts from pure word arithmetic. A serial prefix over those counts
+// fixes every tile's output offsets, and pass 2 writes vertices and
+// table triangles directly into their final slots: disjoint writes, no
+// locks, byte-identical for any worker count.
 //
 // Output ordering is canonical and decomposition-independent:
 //   vertices   ascending (z, y, x, slot) over crossing in-range edges,
 //              slot = direction - 1 of the edge's base node;
 //   triangles  ascending (z, y, x) over cells, kTets / case-table order
 //              within a cell.
-// A crossing edge's vertex is emitted by the block owning its base node
-// (node / blockSize per axis), so the vertex set is exactly "one vertex
+// A crossing edge's vertex is emitted by the tile owning its base node
+// (node / tileSize per axis), so the vertex set is exactly "one vertex
 // per crossing edge" — the same set the legacy hash dedup produces.
 //
 // Sign rows cover nodes [lo, min(hi + 2, res)] per axis: pass 2 assigns
 // ordinals to crossing edges based at halo nodes (hi + 1) owned by
-// neighbour blocks, and *their* preceding slots reach endpoints at
+// neighbour tiles, and *their* preceding slots reach endpoints at
 // hi + 2. Rows are read straight from the shared grid, so halo overlap
 // costs a few redundant compares, not synchronisation.
 // ---------------------------------------------------------------------
 
-constexpr int kDenseBlockSize = 8;  // tiling when no sampler is supplied
+constexpr int kDenseBlockSize = 8;  // block unit when no sampler is supplied
+constexpr int kMinTileSize = 16;    // extraction tiles span at least this
 constexpr int kMaxBlockSize = 62;   // halo row (bs + 2 bits) must fit a word
 
 inline std::uint64_t maskBits(int n) {
@@ -232,12 +239,15 @@ struct Tiling {
                    (static_cast<std::size_t>(by) +
                     static_cast<std::size_t>(nblocks.y) * static_cast<std::size_t>(bz));
     }
+    Vec3i coord(std::size_t b) const {
+        return {static_cast<int>(b % nblocks.x),
+                static_cast<int>((b / nblocks.x) % nblocks.y),
+                static_cast<int>(b / (static_cast<std::size_t>(nblocks.x) * nblocks.y))};
+    }
     BlockGeom geom(std::size_t b) const {
-        const int bx = static_cast<int>(b % nblocks.x);
-        const int by = static_cast<int>((b / nblocks.x) % nblocks.y);
-        const int bz = static_cast<int>(b / (static_cast<std::size_t>(nblocks.x) * nblocks.y));
+        const Vec3i c = coord(b);
         BlockGeom g;
-        g.lo = {bx * bs, by * bs, bz * bs};
+        g.lo = {c.x * bs, c.y * bs, c.z * bs};
         const Vec3i hi{std::min(g.lo.x + bs - 1, res.x), std::min(g.lo.y + bs - 1, res.y),
                        std::min(g.lo.z + bs - 1, res.z)};
         g.owned = {hi.x - g.lo.x + 1, hi.y - g.lo.y + 1, hi.z - g.lo.z + 1};
@@ -260,7 +270,7 @@ inline std::size_t gridIndex(const Vec3i& res, int x, int y, int z) {
            static_cast<std::size_t>(x);
 }
 
-// Sign rows for one block: bit j of row (rz, ry) = (value(lo.x + j,
+// Sign rows for one tile: bit j of row (rz, ry) = (value(lo.x + j,
 // lo.y + ry, lo.z + rz) < iso). x runs are contiguous in the grid, so
 // the compare vectorises; rows are at most bs + 2 <= 64 bits.
 void buildSignRows(const VoxelGrid& grid, const BlockGeom& g, float iso,
@@ -406,18 +416,25 @@ TriMesh extractBlockImpl(const VoxelGrid& grid, const BlockSampler* sampler,
     const Vec3i res = grid.resolution();
     if (res.x < 1 || res.y < 1 || res.z < 1) return out;
 
-    int bs = kDenseBlockSize;
+    int unit = kDenseBlockSize;
     if (sampler != nullptr && sampler->blockSize() <= kMaxBlockSize) {
-        bs = sampler->blockSize();
+        unit = sampler->blockSize();
     } else {
         // No sampler, or sampler blocks too wide for the row words: scan
-        // on the dense tiling. Cells of certified surface-free blocks
-        // emit no triangles and the output is canonical across block
-        // decompositions, so the mesh is the same as on the sampler's.
+        // every cell on the dense tiling. Cells of certified surface-free
+        // blocks emit no triangles and the output is canonical across
+        // block decompositions, so the mesh is the same as on the
+        // sampler's.
         sampler = nullptr;
     }
+    // Tiles are whole sampler blocks, perTile per axis, so a tile's
+    // liveness is exactly its blocks' surface-free flags; the tile edge
+    // stays below max(unit, 2 * kMinTileSize), so it fits the row words.
+    const int perTile = (kMinTileSize + unit - 1) / unit;
+    const int bs = perTile * unit;
 
     const Tiling tiling(res, bs);
+    const Tiling units(res, unit);
     const std::size_t numBlocks = tiling.count();
     const CaseTable& table = caseTable();
     const float iso = options.isoValue;
@@ -440,26 +457,43 @@ TriMesh extractBlockImpl(const VoxelGrid& grid, const BlockSampler* sampler,
     }
     C.slot.resize(numBlocks, -1);
 
-    // Work list: every block not certified surface-free. Certified
-    // blocks hold no crossing edge anywhere in their node set (the
-    // certificate's guard ball covers one node ring beyond the block),
-    // so skipping them drops neither vertices nor triangles.
+    // Work list: every tile holding a block not certified surface-free.
+    // Certified blocks hold no crossing edge anywhere in their node set
+    // (the certificate's guard ball covers one node ring beyond the
+    // block), so skipping all-certified tiles drops neither vertices nor
+    // triangles, and the certified cells of a live tile emit nothing.
+    // liveUnits counts each work tile's uncertified blocks: the stats
+    // report blocks in the sampler's units, whatever the tile size.
     const std::vector<std::uint8_t>* surfaceFree =
         sampler != nullptr ? &sampler->surfaceFree() : nullptr;
     std::vector<std::uint32_t> work;
+    std::vector<std::uint32_t> liveUnits;
     work.reserve(surfaceFree != nullptr ? numBlocks / 4 + 1 : numBlocks);
+    liveUnits.reserve(work.capacity());
     for (std::size_t b = 0; b < numBlocks; ++b) {
-        if (surfaceFree != nullptr && (*surfaceFree)[b] != 0) continue;
+        const Vec3i t = tiling.coord(b);
+        const Vec3i u0{t.x * perTile, t.y * perTile, t.z * perTile};
+        const Vec3i u1{std::min(u0.x + perTile, units.nblocks.x),
+                       std::min(u0.y + perTile, units.nblocks.y),
+                       std::min(u0.z + perTile, units.nblocks.z)};
+        std::uint32_t live = 0;
+        for (int uz = u0.z; uz < u1.z; ++uz)
+            for (int uy = u0.y; uy < u1.y; ++uy)
+                for (int ux = u0.x; ux < u1.x; ++ux)
+                    if (surfaceFree == nullptr || (*surfaceFree)[units.index(ux, uy, uz)] == 0)
+                        ++live;
+        if (live == 0) continue;
         if (C.slot[b] < 0) {
             C.slot[b] = static_cast<std::int32_t>(C.blocks.size());
             C.blocks.emplace_back();
         }
         C.blocks[static_cast<std::size_t>(C.slot[b])].epoch = C.epoch + 1;
         work.push_back(static_cast<std::uint32_t>(b));
+        liveUnits.push_back(live);
     }
     ++C.epoch;
 
-    // ---- Pass 1: sign rows + topology (parallel over blocks) ----
+    // ---- Pass 1: sign rows + topology (parallel over tiles) ----
     std::atomic<std::size_t> reused{0};
     parallelChunks(options.pool, work.size(), [&](std::size_t i0, std::size_t i1) {
         std::vector<std::uint64_t> fresh;
@@ -470,8 +504,8 @@ TriMesh extractBlockImpl(const VoxelGrid& grid, const BlockSampler* sampler,
             IsoExtractCache::Block& B = C.blocks[static_cast<std::size_t>(C.slot[b])];
             buildSignRows(grid, g, iso, fresh);
             if (B.valid && fresh == B.signRows) {
-                ++reusedLocal;  // signs unchanged: keep topology, pass 2
-                continue;       // recomputes the vertex positions anyway
+                reusedLocal += liveUnits[i];  // signs unchanged: keep topology,
+                continue;  // pass 2 recomputes the vertex positions anyway
             }
             B.signRows.swap(fresh);
             computeTopology(g, table, B);
@@ -482,7 +516,7 @@ TriMesh extractBlockImpl(const VoxelGrid& grid, const BlockSampler* sampler,
 
     // ---- Prefix: canonical global offsets ----
     // Per (z, y) row totals first, then an exclusive scan in row-major
-    // (z, y) order, then per-block segment bases handed out left to
+    // (z, y) order, then per-tile segment bases handed out left to
     // right (the work list ascends with bx fastest, so within one row
     // consecutive x segments get consecutive offset runs).
     std::vector<std::uint32_t> rowBaseV(
@@ -490,10 +524,11 @@ TriMesh extractBlockImpl(const VoxelGrid& grid, const BlockSampler* sampler,
     std::vector<std::uint32_t> rowBaseT(static_cast<std::size_t>(res.z) * res.y, 0);
     std::size_t blocksExtracted = 0;
     std::uint64_t activeCells = 0;
-    for (const std::uint32_t b : work) {
+    for (std::size_t i = 0; i < work.size(); ++i) {
+        const std::uint32_t b = work[i];
         const BlockGeom g = tiling.geom(b);
         const IsoExtractCache::Block& B = C.blocks[static_cast<std::size_t>(C.slot[b])];
-        if (B.vertexCount > 0 || !B.cells.empty()) ++blocksExtracted;
+        if (B.vertexCount > 0 || !B.cells.empty()) blocksExtracted += liveUnits[i];
         activeCells += B.cells.size();
         for (int lz = 0; lz < g.owned.z; ++lz)
             for (int ly = 0; ly < g.owned.y; ++ly)
@@ -543,7 +578,7 @@ TriMesh extractBlockImpl(const VoxelGrid& grid, const BlockSampler* sampler,
     out.triangles.resize(tTotal);
 
     if (stats != nullptr) {
-        stats->blocksTotal = numBlocks;
+        stats->blocksTotal = units.count();
         stats->blocksExtracted = blocksExtracted;
         stats->reusedTopologyBlocks = reused.load(std::memory_order_relaxed);
         stats->activeCells = activeCells;
@@ -551,10 +586,15 @@ TriMesh extractBlockImpl(const VoxelGrid& grid, const BlockSampler* sampler,
         stats->triangles = tTotal;
     }
 
-    // ---- Pass 2: geometry into final slots (parallel over blocks) ----
+    // ---- Pass 2: geometry into final slots (parallel over tiles) ----
     const float* vals = grid.values().data();
     parallelChunks(options.pool, work.size(), [&](std::size_t i0, std::size_t i1) {
-        std::vector<std::uint32_t> edgeMap;  // reused across the chunk's blocks
+        // Reused across the chunk's tiles: (node, slot) -> tile-local
+        // edge number, and per tile-local edge its global vertex index
+        // and position.
+        std::vector<std::uint32_t> edgeMap;
+        std::vector<std::uint32_t> edgeId;
+        std::vector<Vec3f> edgePos;
         std::array<std::uint64_t, 7> cw;
         for (std::size_t i = i0; i < i1; ++i) {
             const std::size_t b = work[i];
@@ -564,17 +604,23 @@ TriMesh extractBlockImpl(const VoxelGrid& grid, const BlockSampler* sampler,
             if (B.vertexCount == 0 && B.cells.empty()) continue;
             edgeMap.resize(static_cast<std::size_t>(g.walk.x) * g.walk.y * g.walk.z *
                            kSlotsPerNode);
+            edgeId.clear();
+            edgePos.clear();
             const int bx = g.lo.x / bs;
 
-            // Edge -> global vertex index, walking rows in canonical
-            // order. Rows owned by this block start at segBaseV; halo
-            // rows (z or y one past the owned range) start at the owner
-            // block's segBaseV — its numbering of the same row prefix is
+            // Every crossing edge of the walk gets its global vertex
+            // index and its position, once. Rows walk in canonical order.
+            // Rows owned by this tile start at segBaseV; halo rows (z or
+            // y one past the owned range) start at the owner tile's
+            // segBaseV — its numbering of the same row prefix is
             // identical because the crossing bits are a pure function of
             // the shared grid. Ordinals continue across the x boundary
             // into the neighbour's segment by construction of the
             // prefix. A halo row whose owner has no topology this pass
             // is certificate-empty: no crossings, nothing to index.
+            // Halo positions are the owner's expression on the same two
+            // nodes, so they carry the owner's bits; only owned edges
+            // write out.vertices (the owner's task writes the rest).
             for (int lz = 0; lz < g.walk.z; ++lz) {
                 for (int ly = 0; ly < g.walk.y; ++ly) {
                     const int gy = g.lo.y + ly;
@@ -600,15 +646,11 @@ TriMesh extractBlockImpl(const VoxelGrid& grid, const BlockSampler* sampler,
                     while (u != 0) {
                         const int lx = std::countr_zero(u);
                         u &= u - 1;
+                        const int gx = g.lo.x + lx;
+                        const bool owned = ownRow && lx < g.owned.x;
                         for (int s = 0; s < kSlotsPerNode; ++s) {
                             if (((cw[s] >> lx) & 1) == 0) continue;
                             const std::uint32_t idx = ord++;
-                            edgeMap[(static_cast<std::size_t>(
-                                         (lz * g.walk.y + ly) * g.walk.x + lx)) *
-                                        kSlotsPerNode +
-                                    s] = idx;
-                            if (!ownRow || lx >= g.owned.x) continue;
-                            const int gx = g.lo.x + lx;
                             const int dir = s + 1;
                             const int ex = gx + (dir & 1);
                             const int ey = gy + ((dir >> 1) & 1);
@@ -618,8 +660,15 @@ TriMesh extractBlockImpl(const VoxelGrid& grid, const BlockSampler* sampler,
                             const float denom = vB - vA;
                             float t = std::fabs(denom) > 1e-12f ? (iso - vA) / denom : 0.5f;
                             t = geom::clamp(t, 0.0f, 1.0f);
-                            out.vertices[idx] = geom::lerp(grid.nodePosition(gx, gy, gz),
-                                                           grid.nodePosition(ex, ey, ez), t);
+                            const Vec3f p = geom::lerp(grid.nodePosition(gx, gy, gz),
+                                                       grid.nodePosition(ex, ey, ez), t);
+                            edgeMap[(static_cast<std::size_t>(
+                                         (lz * g.walk.y + ly) * g.walk.x + lx)) *
+                                        kSlotsPerNode +
+                                    s] = static_cast<std::uint32_t>(edgeId.size());
+                            edgeId.push_back(idx);
+                            edgePos.push_back(p);
+                            if (owned) out.vertices[idx] = p;
                         }
                     }
                 }
@@ -629,11 +678,10 @@ TriMesh extractBlockImpl(const VoxelGrid& grid, const BlockSampler* sampler,
             // list ascends (z, y, x), so a running index per cell row
             // lands every triangle in its canonical slot. The winding
             // replays the legacy extractor's float side test on the
-            // actual interpolated positions (see the case-table header).
-            // Positions are recomputed here rather than read back from
-            // out.vertices: a triangle may reference a halo vertex
-            // another block's task is writing concurrently, and the
-            // recomputation is bit-identical by construction.
+            // actual interpolated positions (see the case-table header),
+            // read from the tile's edge table rather than out.vertices:
+            // a triangle may reference a halo vertex another tile's task
+            // is writing concurrently.
             int curRow = -1;
             std::uint32_t tIdx = 0;
             for (const std::uint32_t packed : B.cells) {
@@ -646,23 +694,6 @@ TriMesh extractBlockImpl(const VoxelGrid& grid, const BlockSampler* sampler,
                     curRow = row;
                     tIdx = B.segBaseT[static_cast<std::size_t>(row)];
                 }
-                auto edgePos = [&](int e) {
-                    const int cornerBits = e / kSlotsPerNode;
-                    const int dir = e % kSlotsPerNode + 1;
-                    const int gx = g.lo.x + lx + (cornerBits & 1);
-                    const int gy = g.lo.y + ly + ((cornerBits >> 1) & 1);
-                    const int gz = g.lo.z + lz + ((cornerBits >> 2) & 1);
-                    const int ex = gx + (dir & 1);
-                    const int ey = gy + ((dir >> 1) & 1);
-                    const int ez = gz + ((dir >> 2) & 1);
-                    const float vA = vals[gridIndex(res, gx, gy, gz)];
-                    const float vB = vals[gridIndex(res, ex, ey, ez)];
-                    const float denom = vB - vA;
-                    float t = std::fabs(denom) > 1e-12f ? (iso - vA) / denom : 0.5f;
-                    t = geom::clamp(t, 0.0f, 1.0f);
-                    return geom::lerp(grid.nodePosition(gx, gy, gz),
-                                      grid.nodePosition(ex, ey, ez), t);
-                };
                 auto cornerPos = [&](int c) {
                     return grid.nodePosition(g.lo.x + lx + (c & 1),
                                              g.lo.y + ly + ((c >> 1) & 1),
@@ -673,16 +704,20 @@ TriMesh extractBlockImpl(const VoxelGrid& grid, const BlockSampler* sampler,
                 for (int k = 0; k < n; ++k) {
                     const CaseTable::Tri& tri = table.tris[off + k];
                     std::uint32_t id[3];
+                    Vec3f pos[3];
                     for (int v = 0; v < 3; ++v) {
                         const int cornerBits = tri.e[v] / kSlotsPerNode;
                         const int s = tri.e[v] % kSlotsPerNode;
                         const int nx = lx + (cornerBits & 1);
                         const int ny = ly + ((cornerBits >> 1) & 1);
                         const int nz = lz + ((cornerBits >> 2) & 1);
-                        id[v] = edgeMap[(static_cast<std::size_t>(
-                                             (nz * g.walk.y + ny) * g.walk.x + nx)) *
-                                            kSlotsPerNode +
-                                        s];
+                        const std::uint32_t e =
+                            edgeMap[(static_cast<std::size_t>(
+                                        (nz * g.walk.y + ny) * g.walk.x + nx)) *
+                                        kSlotsPerNode +
+                                    s];
+                        id[v] = edgeId[e];
+                        pos[v] = edgePos[e];
                     }
                     // Legacy emitTriangle, bit for bit: same inside
                     // reference (centroid of 1 or 2 corners — += then
@@ -693,11 +728,8 @@ TriMesh extractBlockImpl(const VoxelGrid& grid, const BlockSampler* sampler,
                         insideRef += cornerPos(tri.refB);
                         insideRef /= 2.0f;
                     }
-                    const Vec3f pa = edgePos(tri.e[0]);
-                    const Vec3f pb = edgePos(tri.e[1]);
-                    const Vec3f pc = edgePos(tri.e[2]);
-                    const Vec3f nrm = (pb - pa).cross(pc - pa);
-                    const Vec3f centroid = (pa + pb + pc) / 3.0f;
+                    const Vec3f nrm = (pos[1] - pos[0]).cross(pos[2] - pos[0]);
+                    const Vec3f centroid = (pos[0] + pos[1] + pos[2]) / 3.0f;
                     const float side = nrm.dot(centroid - insideRef);
                     const bool flip = tri.outward ? side < 0.0f : side > 0.0f;
                     out.triangles[tIdx++] = flip ? Triangle{id[0], id[2], id[1]}

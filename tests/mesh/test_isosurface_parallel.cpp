@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "semholo/core/thread_pool.hpp"
@@ -142,10 +145,10 @@ TEST(IsoSurfaceParallel, SparseMatchesLegacySparse) {
 }
 
 TEST(IsoSurfaceParallel, BlockDecompositionDoesNotChangeOutput) {
-    // The dense path (no sampler, kDenseBlockSize tiles) and the sparse
-    // path (sampler-sized tiles) must emit identical bytes — the
-    // canonical ordering is decomposition-independent. Sampler blocks
-    // wider than a row word (64) take the dense tiling.
+    // The dense path (no sampler, tiles of 8-node units) and the sparse
+    // path (tiles of whole sampler blocks) must emit identical bytes —
+    // the canonical ordering is decomposition-independent. Sampler
+    // blocks wider than a row word (64) take the dense tiling.
     const auto field = blobField();
     const int res = 40;
     VoxelGrid dense(unitBounds(), {res, res, res});
@@ -159,6 +162,76 @@ TEST(IsoSurfaceParallel, BlockDecompositionDoesNotChangeOutput) {
         sampler.sample(field, sampling);
         expectIdenticalMeshes(extractIsoSurface(dense),
                               extractIsoSurface(sparse, sampler));
+    }
+
+    // Block pruning on: certified blocks hold their centre value instead
+    // of the sampled ones, but never on a crossing edge, and tiles mixing
+    // certified and live blocks scan the certified cells too. Every
+    // sampler block size, at resolutions that are not a multiple of the
+    // tile, must still emit the dense bytes and the legacy triangle set.
+    for (const int r : {40, 67}) {
+        VoxelGrid reference(unitBounds(), {r, r, r});
+        reference.sample(field);
+        IsoSurfaceOptions unwelded;
+        unwelded.weldVertices = false;
+        const TriMesh want = extractIsoSurface(reference);
+        const TriMesh legacy = extractIsoSurfaceLegacy(reference, unwelded);
+        for (const int blockSize : {2, 4, 8, 16}) {
+            SCOPED_TRACE("res " + std::to_string(r) + " block " +
+                         std::to_string(blockSize));
+            VoxelGrid pruned(unitBounds(), {r, r, r});
+            BlockSampler sampler(pruned, blockSize);
+            FieldSampleOptions sampling;  // lipschitz 1.0 holds for the blobs
+            const FieldSampleStats fs = sampler.sample(field, sampling);
+            ASSERT_GT(fs.blocksSkipped, 0u);
+            ASSERT_GT(fs.blocksSampled, 0u);
+            expectIdenticalMeshes(want, extractIsoSurface(pruned, sampler));
+            expectSameTriangleSet(legacy, extractIsoSurface(pruned, sampler, unwelded));
+        }
+    }
+}
+
+TEST(IsoSurfaceParallel, SingleLiveBlockAtTileCorner) {
+    // Exactly one live sampler block, at each of the eight corners of
+    // an interior extraction tile whose other blocks are all certified:
+    // the tile must still be extracted, and the counters report one
+    // live block in sampler units.
+    // The grid is certified everywhere by a constant first pass, then
+    // only the target block re-samples a small sphere that lies inside
+    // its own nodes.
+    const int res = 40;
+    const int bs = 4;
+    const Vec3f cell = VoxelGrid(unitBounds(), {res, res, res}).cellSize();
+    for (int corner = 0; corner < 8; ++corner) {
+        // Tile (1, 1, 1) covers sampler blocks 4..7 on each axis.
+        const Vec3i block{corner & 1 ? 7 : 4, corner & 2 ? 7 : 4, corner & 4 ? 7 : 4};
+        SCOPED_TRACE("corner " + std::to_string(corner));
+        VoxelGrid grid(unitBounds(), {res, res, res});
+        BlockSampler sampler(grid, bs);
+        FieldSampleOptions sampling;
+        sampler.sample([](Vec3f) { return 1.0f; }, sampling);
+        ASSERT_TRUE(std::all_of(sampler.surfaceFree().begin(), sampler.surfaceFree().end(),
+                                [](std::uint8_t f) { return f != 0; }));
+
+        const int target = block.x + sampler.blockGrid().x *
+                                         (block.y + sampler.blockGrid().y * block.z);
+        const Vec3f center = sampler.blockCenter(target);
+        std::vector<std::uint8_t> dirty(static_cast<std::size_t>(sampler.blockCount()), 0);
+        dirty[static_cast<std::size_t>(target)] = 1;
+        FieldSampleOptions full;
+        full.blockPruning = false;
+        sampler.sample(sphereField(center, 0.9f * cell.x), full, &dirty);
+        ASSERT_EQ(sampler.surfaceFree()[static_cast<std::size_t>(target)], 0);
+
+        IsoSurfaceOptions opt;
+        opt.weldVertices = false;
+        ExtractStats stats;
+        const TriMesh m = extractIsoSurface(grid, &sampler, opt, nullptr, &stats);
+        ASSERT_GT(m.triangleCount(), 0u);
+        EXPECT_EQ(stats.blocksTotal, static_cast<std::size_t>(sampler.blockCount()));
+        EXPECT_EQ(stats.blocksExtracted, 1u);
+        expectIdenticalMeshes(extractIsoSurface(grid, opt), m);
+        expectSameTriangleSet(extractIsoSurfaceLegacy(grid, opt), m);
     }
 }
 
